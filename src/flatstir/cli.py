@@ -32,7 +32,9 @@ def _add_threads(parser: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker processes for exhaustive counting (default: available parallelism)",
+        help="worker processes for exhaustive counting, used only for scans of at least "
+        f"{words.POOL_MIN_WORDS} words and capped at the available CPUs "
+        "(default: available parallelism)",
     )
 
 
@@ -109,6 +111,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Smallest accepted value of each numeric argument, per command; a smaller
+# value is a usage error (exit 2), not a traceback from the library.
+_MINIMUMS = {
+    "gen": {"n": 0, "m": 1},
+    "table": {"max_n": 1, "threads": 1},
+    "verify": {"threads": 1},
+    "cache": {"threads": 1},
+}
+
+
+def _below_minimum(args) -> str | None:
+    """One-line complaint about the first numeric argument below its minimum, or None."""
+    for name, low in _MINIMUMS.get(args.command, {}).items():
+        value = getattr(args, name)
+        if value < low:
+            return f"--{name.replace('_', '-')} must be at least {low}, got {value}"
+    return None
+
+
 def _cmd_gen(args) -> int:
     if args.object == "typeb":
         items = (typeb.format_partition(p) for p in typeb.generate_typeb(args.n, budget=args.budget))
@@ -118,8 +139,8 @@ def _cmd_gen(args) -> int:
         )
     else:
         if args.via == "bijection":
-            if args.m != 2:
-                print("gen flat --via bijection requires --m 2", file=sys.stderr)
+            if args.m != 2 or args.n < 1:
+                print("gen flat --via bijection requires --m 2 and --n 1 or more", file=sys.stderr)
                 return 2
             items = (
                 words.format_word(w)
@@ -251,6 +272,10 @@ def _cmd_cache(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    complaint = _below_minimum(args)
+    if complaint:
+        print(f"error: {complaint}", file=sys.stderr)
+        return 2
     handlers = {
         "gen": _cmd_gen,
         "map": _cmd_map,

@@ -96,10 +96,11 @@ def flat_k_table(
 ) -> CountTable:
     """Fill |Q_n|, |flat|, and the flat_k distribution for 1 <= n <= n_max.
 
-    ``filter`` scans the full word set (the brute-force oracle, feasible
-    to about n = 8); ``bijection`` enumerates only the flattened words
-    through the partition correspondence (feasible to about n = 11).  In
-    bijection mode the |Q_n| column comes from the product formula.
+    ``filter`` walks the insertion tree pruned to flattened words (the
+    default budget caps |Q_n| at n = 9; order 9 takes under a second);
+    ``bijection`` enumerates the flattened words through the partition
+    correspondence (feasible to about n = 11).  In bijection mode the
+    |Q_n| column comes from the product formula.
     """
     table = CountTable()
     for n in range(1, n_max + 1):
@@ -129,7 +130,7 @@ def mstirling_table(
 ) -> CountTable:
     """Fill flattened m-fold counts for 1 <= n <= n_max, 2 <= m <= m_max.
 
-    ``filter`` is the exhaustive scan (also records the |Q_n^m| totals);
+    ``filter`` is the pruned insertion walk (also records the |Q_n^m| totals);
     ``formula`` evaluates the recurrence.
     """
     table = CountTable()

@@ -3,8 +3,8 @@
 A word of order n and multiplicity m uses each value 1..n exactly m
 times, and every letter lying strictly between two occurrences of a
 value v must be larger than v.  Runs are maximal weakly increasing
-segments; a word is *flattened* when the first letters of its runs are
-weakly increasing.
+segments; a word is *flattened* when the first letters of its runs (its
+*leaders*) are weakly increasing.
 
 Generation follows the insertion construction: the words of order n are
 obtained from each word of order n-1 by inserting the block of m copies
@@ -12,10 +12,38 @@ of n into each of the (n-1)*m + 1 gap positions, gaps taken left to
 right, parents in the same (recursive) order.  Every word is produced
 exactly once, so the stream needs no dedup set, and the order is stable
 across runs.
+
+Flattened words come from the same tree, pruned.  Insert the block of
+the new maximal value v into gap g of a word w (between w[g-1] and
+w[g]).  Every letter of w is smaller than v, so:
+
+* at the front (g = 0, w nonempty), the block is a new first run and
+  w[0] stays a leader behind the descent v > w[0];
+* at a descent (w[g-1] > w[g]), the block extends the run ending at
+  w[g-1], and w[g] stays a leader behind the descent v > w[g];
+* inside a run (w[g-1] <= w[g]), the block extends that run, and w[g]
+  becomes a new leader behind the descent v > w[g];
+* at the end (g = len(w)), the block extends the last run.
+
+No other adjacent pair changes, so the leaders of w are a subsequence of
+the leaders of the child.  A decreasing pair of leaders survives in
+every supersequence, so each child of a non-flattened word is
+non-flattened, and pruning a non-flattened child drops no flattened
+word of any later order.  For a flattened w the cases also decide the
+child without building it: the front gap puts v before the smaller
+leader w[0] (flattened only when w is empty, giving one run), a descent
+or the end keeps the leaders and the run count, and a gap inside a run
+adds the leader w[g] between the leader of its own run (at most
+w[g-1] <= w[g]) and the next leader to its right, so the child is
+flattened iff w[g] is at most that next leader, and has one more run.
+The pruned walk thus visits only flattened words and their children, for
+every m, and yields the flattened words in the order of the full stream.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -24,6 +52,14 @@ from .errors import BudgetExceededError, NotStirlingError, WordSyntaxError
 from .formulas import mstirling_count
 
 DEFAULT_BUDGET = 50_000_000
+
+# Insertion order at which count_stirling_stats splits the walk into tasks.
+SPLIT_ORDER = 3
+# Smallest |Q_n^m| for which count_stirling_stats starts a process pool.
+# The pruned walk visits far fewer children than |Q_n^m|: 59k at
+# (n, m) = (6, 5), where starting a pool costs more than the walk, and
+# 757k at (7, 5), where 2 workers beat 1.
+POOL_MIN_WORDS = 10_000_000
 
 
 def _stirling_violation(letters: Sequence[int], m: int) -> str | None:
@@ -145,21 +181,8 @@ def _check_budget(n: int, m: int, budget: int) -> int:
     return projected
 
 
-def _iter_letters(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All m-Stirling words of order n as raw tuples, in insertion order."""
-
-    def rec(word: tuple[int, ...], v: int) -> Iterator[tuple[int, ...]]:
-        if v > n:
-            yield word
-            return
-        block = (v,) * m
-        for gap in range(len(word) + 1):
-            yield from rec(word[:gap] + block + word[gap:], v + 1)
-
-    yield from rec((), 1)
-
-
 def _iter_letters_from(word: tuple[int, ...], v: int, n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Order-n descendants of ``word`` (of order v-1) as raw tuples, in insertion order."""
     if v > n:
         yield word
         return
@@ -171,33 +194,38 @@ def _iter_letters_from(word: tuple[int, ...], v: int, n: int, m: int) -> Iterato
 def generate_stirling(n: int, m: int = 2, budget: int = DEFAULT_BUDGET) -> Iterator[StirlingWord]:
     """Yield every m-Stirling word of order n exactly once, in insertion order."""
     _check_budget(n, m, budget)
-    for letters in _iter_letters(n, m):
+    for letters in _iter_letters_from((), 1, n, m):
         yield StirlingWord(letters, m)
 
 
 def generate_flattened_filter(
     n: int, m: int = 2, budget: int = DEFAULT_BUDGET
 ) -> Iterator[StirlingWord]:
-    """The flattened subsequence of ``generate_stirling``; brute-force oracle for flat counts."""
+    """The flattened subsequence of ``generate_stirling``, from the pruned walk."""
     _check_budget(n, m, budget)
-    for letters in _iter_letters(n, m):
-        if _is_flat(letters):
-            yield StirlingWord(letters, m)
+    for letters, _ in _walk_flat((), 0, n, m, _subtree_sizes(n, m), StirlingStats(n, m)):
+        yield StirlingWord(letters, m)
 
 
 @dataclass
 class StirlingStats:
-    """Exhaustive counts for one (n, m): total words, flattened words, flat-by-run-count."""
+    """Exact counts for one (n, m): total words, flattened words, flat-by-run-count.
+
+    ``visited`` is the number of children the pruned walk tried, flattened
+    or not (0 for the brute-force scan, which visits all ``total`` words).
+    """
 
     order: int
     multiplicity: int
     total: int = 0
     flat_total: int = 0
     flat_by_runs: dict[int, int] = field(default_factory=dict)
+    visited: int = 0
 
     def merge(self, other: "StirlingStats") -> None:
         self.total += other.total
         self.flat_total += other.flat_total
+        self.visited += other.visited
         for k, v in other.flat_by_runs.items():
             self.flat_by_runs[k] = self.flat_by_runs.get(k, 0) + v
 
@@ -228,10 +256,10 @@ def _stats_subtree(prefix: tuple[int, ...], v: int, n: int, m: int) -> StirlingS
     return stats
 
 
-def count_stirling_stats(
+def scan_stirling_stats(
     n: int, m: int = 2, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> StirlingStats:
-    """Exhaustively scan all of Q_n^m, counting total/flattened/flat-by-runs.
+    """Brute-force reference for ``count_stirling_stats``: scan all of Q_n^m.
 
     With ``workers`` > 1 the insertion tree is split at a fixed shallow
     level and the per-subtree counts are summed (associative reduction),
@@ -242,13 +270,116 @@ def count_stirling_stats(
     if workers <= 1 or n <= split_order:
         return _stats_subtree((), 1, n, m)
     stats = StirlingStats(n, m)
-    prefixes = list(_iter_letters(split_order, m))
+    prefixes = list(_iter_letters_from((), 1, split_order, m))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_stats_subtree, prefix, split_order + 1, n, m) for prefix in prefixes
         ]
         for fut in futures:
             stats.merge(fut.result())
+    return stats
+
+
+def _subtree_sizes(n: int, m: int) -> list[int]:
+    """Entry v: order-n words below a word of order v, prod_{u=v+1..n} ((u-1)*m + 1)."""
+    sizes = [1] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        sizes[v] = sizes[v + 1] * (v * m + 1)
+    return sizes
+
+
+def _flat_gaps(word: tuple[int, ...], runs: int) -> list[tuple[int, int]]:
+    """(gap, run count of the child) for each gap whose child is flattened, left to right.
+
+    ``word`` must be flattened with ``runs`` runs; the child inserts a
+    block of a value above every letter (see the module docstring).
+    """
+    if not word:
+        return [(0, 1)]
+    gaps = [(len(word), runs)]
+    next_leader = math.inf
+    for g in range(len(word) - 1, 0, -1):
+        right = word[g]
+        if word[g - 1] > right:
+            gaps.append((g, runs))
+            next_leader = right
+        elif right <= next_leader:
+            gaps.append((g, runs + 1))
+    gaps.reverse()
+    return gaps
+
+
+def _walk_flat(
+    word: tuple[int, ...], runs: int, stop: int, m: int, below: list[int], stats: StirlingStats
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (letters, runs) for each flattened descendant of ``word`` of order ``stop``.
+
+    ``word`` is flattened with ``runs`` runs; descendants come in insertion
+    order.  Each child tried adds 1 to ``stats.visited``, and a pruned
+    child built at order v adds its ``below[v]`` descendants of the final
+    order to ``stats.total``.
+    """
+    v = len(word) // m + 1
+    if v > stop:
+        yield word, runs
+        return
+    gaps = _flat_gaps(word, runs)
+    stats.visited += len(word) + 1
+    stats.total += (len(word) + 1 - len(gaps)) * below[v]
+    block = (v,) * m
+    for gap, child_runs in gaps:
+        yield from _walk_flat(word[:gap] + block + word[gap:], child_runs, stop, m, below, stats)
+
+
+def _walk_stats(prefix: tuple[int, ...], runs: int, n: int, m: int) -> StirlingStats:
+    """Pruned-walk counts for the order-n descendants of the flattened ``prefix``."""
+    stats = StirlingStats(n, m)
+    by_runs = stats.flat_by_runs
+    for _, k in _walk_flat(prefix, runs, n, m, _subtree_sizes(n, m), stats):
+        stats.flat_total += 1
+        by_runs[k] = by_runs.get(k, 0) + 1
+    stats.total += stats.flat_total
+    return stats
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def pool_size(threads: int, tasks: int, cpus: int) -> int:
+    """Worker processes worth starting: no more than requested, tasks, or CPUs."""
+    return min(threads, tasks, cpus)
+
+
+def count_stirling_stats(
+    n: int, m: int = 2, budget: int = DEFAULT_BUDGET, workers: int = 1
+) -> StirlingStats:
+    """Count all of Q_n^m, its flattened words, and those by run count.
+
+    The pruned walk visits only flattened words and their children; each
+    pruned child adds its exact subtree size, so ``total`` is still
+    |Q_n^m|, and the budget still caps |Q_n^m|.  The walk splits at order
+    ``SPLIT_ORDER`` and sums the counts below each flattened prefix there
+    (an associative reduction, so the split cannot change the result).
+    The prefixes go to a process pool when ``workers`` > 1 and |Q_n^m| is
+    at least ``POOL_MIN_WORDS``, with ``pool_size`` workers; smaller scans
+    take less time than starting a pool.
+    """
+    projected = _check_budget(n, m, budget)
+    stats = StirlingStats(n, m)
+    prefixes = list(_walk_flat((), 0, min(n, SPLIT_ORDER), m, _subtree_sizes(n, m), stats))
+    if workers > 1 and projected >= POOL_MIN_WORDS:
+        jobs = pool_size(workers, len(prefixes), _cpu_count())
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(_walk_stats, word, runs, n, m) for word, runs in prefixes]
+            parts = [fut.result() for fut in futures]
+    else:
+        parts = [_walk_stats(word, runs, n, m) for word, runs in prefixes]
+    for part in parts:
+        stats.merge(part)
     return stats
 
 

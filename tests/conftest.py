@@ -1,6 +1,6 @@
 """Session-scoped exhaustive enumerations shared across test modules.
 
-The heavy streams (full word scans up to order 8, all partitions up to
+The heavy streams (brute-force word scans up to order 8, all partitions up to
 [-7, 7], run distributions up to order 10) are computed once per session
 so the acceptance criteria can share them.
 """
@@ -12,20 +12,20 @@ import pytest
 from flatstir.bijection import iter_flattened_letters
 from flatstir.tables import count_runs_via_bijection
 from flatstir.typeb import generate_typeb
-from flatstir.words import count_stirling_stats, generate_flattened_filter
+from flatstir.words import generate_flattened_filter, scan_stirling_stats
 
 WORKERS = min(4, os.cpu_count() or 1)
 
 
 @pytest.fixture(scope="session")
 def filter_stats():
-    """Exhaustive scan results for doubled words, order 1..8."""
-    return {n: count_stirling_stats(n, 2, workers=WORKERS if n >= 8 else 1) for n in range(1, 9)}
+    """Brute-force scan results for doubled words, order 1..8."""
+    return {n: scan_stirling_stats(n, 2, workers=WORKERS if n >= 8 else 1) for n in range(1, 9)}
 
 
 @pytest.fixture(scope="session")
 def flat_words():
-    """All flattened doubled words (as objects) for orders 1..8, via the filter."""
+    """All flattened doubled words (as objects) for orders 1..8, via the pruned walk."""
     return {n: list(generate_flattened_filter(n, 2)) for n in range(1, 9)}
 
 

@@ -161,15 +161,23 @@ def test_criterion_09_three_run_conjecture(bijection_runs, filter_stats):
 
 
 def test_criterion_10_table2_exhaustive():
-    """Exhaustive m-fold flattened counts match every reference cell, n <= 7, m <= 5."""
+    """Exhaustive m-fold flattened counts match every reference cell, n <= 7, m <= 5.
+
+    The brute-force scan fixes each cell; the pruned walk must equal it
+    field by field.
+    """
     from flatstir.formulas import mstirling_count
 
     checked = 0
     for n in range(1, 8):
         for m in range(2, 6):
-            stats = words.count_stirling_stats(n, m, workers=WORKERS if n >= 6 else 1)
+            stats = words.scan_stirling_stats(n, m, workers=WORKERS if n >= 6 else 1)
             assert stats.total == mstirling_count(n, m), f"|Q| at n={n} m={m}"
             assert stats.flat_total == TABLE2[(n, m)], f"cell n={n} m={m}"
+            pruned = words.count_stirling_stats(n, m)
+            assert (pruned.total, pruned.flat_total, pruned.flat_by_runs) == (
+                stats.total, stats.flat_total, stats.flat_by_runs
+            ), f"pruned walk vs brute force at n={n} m={m}"
             checked += 1
     report(10, True, f"{checked} exhaustive cells exact "
                      "(largest: 17873856 words at n=7, m=5)")

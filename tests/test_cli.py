@@ -1,6 +1,10 @@
 """End-to-end CLI behavior, including the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,3 +225,36 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["table"])
         assert err.value.code == 2
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "stirling", "--n", "-1"],
+        ["gen", "stirling", "--n", "2", "--m", "0"],
+        ["gen", "flat", "--n", "3", "--m", "0"],
+        ["gen", "flat", "--n", "0", "--via", "bijection"],
+        ["table", "--max-n", "0"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_out_of_range_argument_exits_2_without_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatstir.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exits_2(capsys, threads):
+    for argv in (["table", "--max-n", "3"], ["verify", "table1", "--max-n", "2"]):
+        code, out, err = run_cli(capsys, *argv, "--threads", threads)
+        assert code == 2 and out == ""
+        assert err == f"error: --threads must be at least 1, got {threads}\n"

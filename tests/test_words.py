@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from flatstir import words as words_module
 from flatstir.errors import BudgetExceededError, NotStirlingError, WordSyntaxError
 from flatstir.words import (
     StirlingWord,
@@ -14,12 +15,34 @@ from flatstir.words import (
     is_flattened,
     is_stirling,
     parse_word,
+    pool_size,
     run_decomposition,
+    scan_stirling_stats,
 )
 
 
 def W(text: str, m: int = 2) -> StirlingWord:
     return StirlingWord(parse_word(text), m)
+
+
+def record_pools(monkeypatch) -> list[int]:
+    """Swap in a process pool that records the worker count of each pool started."""
+    started: list[int] = []
+
+    class RecordingPool(words_module.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(words_module, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+def assert_same_counts(pruned, brute) -> None:
+    assert (pruned.order, pruned.multiplicity) == (brute.order, brute.multiplicity)
+    assert pruned.total == brute.total
+    assert pruned.flat_total == brute.flat_total
+    assert pruned.flat_by_runs == brute.flat_by_runs
 
 
 class TestIsStirling:
@@ -133,14 +156,65 @@ class TestGenerators:
                 by_runs[k] = by_runs.get(k, 0) + 1
             assert stats.flat_by_runs == by_runs
 
-    def test_stats_parallel_equals_sequential(self):
+    def test_stats_parallel_equals_sequential(self, monkeypatch):
+        pools = record_pools(monkeypatch)
+        monkeypatch.setattr(words_module, "POOL_MIN_WORDS", 0)
         seq = count_stirling_stats(5, 2, workers=1)
+        assert pools == []
         par = count_stirling_stats(5, 2, workers=2)
-        assert (seq.total, seq.flat_total, seq.flat_by_runs) == (
+        assert pools == [2]
+        assert (seq.total, seq.flat_total, seq.flat_by_runs, seq.visited) == (
             par.total,
             par.flat_total,
             par.flat_by_runs,
+            par.visited,
         )
+
+    def test_small_scans_start_no_pool(self, monkeypatch):
+        pools = record_pools(monkeypatch)
+        count_stirling_stats(6, 5, workers=2)
+        count_stirling_stats(7, 2, workers=2)
+        assert pools == []
+
+    def test_pooled_equals_serial_above_threshold(self, monkeypatch):
+        assert 17_873_856 >= words_module.POOL_MIN_WORDS
+        pools = record_pools(monkeypatch)
+        seq = count_stirling_stats(7, 5, workers=1)
+        par = count_stirling_stats(7, 5, workers=2)
+        assert len(pools) == 1
+        assert seq == par
+        # pruning: 756,717 children tried for 17,873,856 words counted
+        assert (seq.total, seq.flat_total, seq.visited) == (17_873_856, 276_875, 756_717)
+
+    def test_pool_size_clamp(self):
+        assert pool_size(64, 30, 2) == 2
+        assert pool_size(2, 30, 8) == 2
+        assert pool_size(8, 6, 16) == 6
+        assert pool_size(1, 6, 4) == 1
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_pruned_matches_brute_force_m1(self, n):
+        assert_same_counts(count_stirling_stats(n, 1), scan_stirling_stats(n, 1))
+
+    def test_pruned_matches_brute_force_order8(self, filter_stats):
+        assert_same_counts(count_stirling_stats(8, 2), filter_stats[8])
+
+    def test_children_of_non_flattened_words_are_non_flattened(self):
+        for m in range(1, 4):
+            for n in range(1, 6):
+                for parent in generate_stirling(n - 1, m):
+                    if is_flattened(parent):
+                        continue
+                    word = parent.letters
+                    for gap in range(len(word) + 1):
+                        child = word[:gap] + (n,) * m + word[gap:]
+                        assert not is_flattened(StirlingWord(child, m)), (parent, gap)
+
+    def test_flattened_stream_is_the_filtered_full_stream(self):
+        for m in range(1, 4):
+            for n in range(0, 6):
+                full = [w for w in generate_stirling(n, m) if is_flattened(w)]
+                assert list(generate_flattened_filter(n, m)) == full, (n, m)
 
     def test_flattened_words_start_with_one(self):
         for n in range(1, 6):
