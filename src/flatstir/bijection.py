@@ -24,16 +24,10 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import BudgetExceededError, DomainError, NotFlattenedError
+from .errors import DEFAULT_BUDGET, DomainError, NotFlattenedError, check_budget
 from .formulas import dowling
-from .typeb import (
-    TYPEB_DEFAULT_BUDGET,
-    SignedBlock,
-    TypeBPartition,
-    _iter_typeb_raw,
-    ensure_canonical,
-)
-from .words import StirlingWord, _is_flat
+from .typeb import SignedBlock, TypeBPartition, _iter_typeb_raw, ensure_canonical
+from .words import StirlingWord, is_flattened, leader_drop
 
 RawBlocks = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
@@ -85,23 +79,9 @@ def partition_to_word(partition: TypeBPartition, verify_output: bool = False) ->
     raw = tuple((b.negatives, b.positives) for b in partition.blocks)
     letters = _word_letters(partition.zero_block, raw)
     word = StirlingWord(letters, 2)
-    if verify_output and not _is_flat(letters):
+    if verify_output and not is_flattened(word):
         raise NotFlattenedError(f"forward map produced a non-flattened word: {word}")
     return word
-
-
-def _flat_violation(letters: tuple[int, ...]) -> str:
-    lead = prev = letters[0]
-    for idx, x in enumerate(letters[1:], start=1):
-        if x < prev:
-            if x < lead:
-                return (
-                    f"run starting at position {idx} leads with {x}, smaller than "
-                    f"the previous leading term {lead}"
-                )
-            lead = x
-        prev = x
-    return "word is flattened"  # unreachable when called on a violation
 
 
 def word_to_partition(word: StirlingWord) -> TypeBPartition:
@@ -119,8 +99,13 @@ def word_to_partition(word: StirlingWord) -> TypeBPartition:
     letters = word.letters
     if not letters:
         raise DomainError("the empty word has no corresponding partition (order must be >= 1)")
-    if not _is_flat(letters):
-        raise NotFlattenedError(_flat_violation(letters))
+    drop = leader_drop(letters)
+    if drop is not None:
+        start, lead = drop
+        raise NotFlattenedError(
+            f"run starting at position {start} leads with {letters[start]}, smaller than "
+            f"the previous leading term {lead}"
+        )
 
     # Peel (negatives, positives) segments right to left.
     segments: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -172,21 +157,20 @@ def run_count_from_partition(partition: TypeBPartition) -> int:
 
 
 def generate_flattened_from_partitions(
-    n: int, budget: int = TYPEB_DEFAULT_BUDGET
+    n: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[StirlingWord]:
     """All flattened doubled words of order n, as images of the partition stream.
 
-    This is the fast generator: it touches exactly the flattened words,
-    never filtering the full word set.  Order follows the partition
-    generator's documented order.
+    It touches exactly the flattened words, never filtering the full word
+    set, but the pruned insertion walk (``words.generate_flattened_filter``)
+    is faster; this is its bijection-side oracle.  Order follows the
+    partition generator's documented order.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    projected = dowling(n - 1)
-    if projected > budget:
-        raise BudgetExceededError(projected, budget, f"generating flat words of order {n}")
-    for zero_block, blocks in _iter_typeb_raw(n - 1):
-        yield StirlingWord(_word_letters(zero_block, blocks), 2)
+    check_budget(dowling(n - 1), budget, f"generating flat words of order {n}")
+    for letters in iter_flattened_letters(n):
+        yield StirlingWord(letters, 2)
 
 
 def iter_flattened_letters(n: int) -> Iterator[tuple[int, ...]]:

@@ -15,6 +15,7 @@ import sys
 
 from . import bijection, oeis, tables, typeb, verify, words
 from .errors import FlatstirError
+from .formulas import max_runs
 from .words import DEFAULT_BUDGET
 
 
@@ -106,18 +107,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument("--max-m", type=int, default=5)
     p_cache.add_argument("--sample", type=int, default=8, help="flat_k rows re-derived by check")
     _add_budget(p_cache)
-    _add_threads(p_cache)
 
     return parser
 
 
 # Smallest accepted value of each numeric argument, per command; a smaller
-# value is a usage error (exit 2), not a traceback from the library.
+# value is a usage error (exit 2), not a traceback from the library or a
+# check that examines nothing.
 _MINIMUMS = {
     "gen": {"n": 0, "m": 1},
     "table": {"max_n": 1, "threads": 1},
-    "verify": {"threads": 1},
-    "cache": {"threads": 1},
+    "verify": {"max_n": 1, "threads": 1},
+    "oeis": {"max_terms": 1},
 }
 
 
@@ -125,7 +126,7 @@ def _below_minimum(args) -> str | None:
     """One-line complaint about the first numeric argument below its minimum, or None."""
     for name, low in _MINIMUMS.get(args.command, {}).items():
         value = getattr(args, name)
-        if value < low:
+        if value is not None and value < low:
             return f"--{name.replace('_', '-')} must be at least {low}, got {value}"
     return None
 
@@ -188,6 +189,13 @@ def _cmd_table(args) -> int:
         if mode == "formula":
             print("the run-count table supports --mode filter or bijection", file=sys.stderr)
             return 2
+        if args.max_k is not None and args.max_k < max_runs(args.max_n):
+            print(
+                f"error: --max-k {args.max_k} would drop nonzero cells: "
+                f"max_runs({args.max_n}) = {max_runs(args.max_n)}",
+                file=sys.stderr,
+            )
+            return 2
         table = tables.flat_k_table(args.max_n, mode=mode, budget=args.budget, workers=args.threads)
         text = (
             tables.table1_csv(table, args.max_n, args.max_k)
@@ -244,24 +252,18 @@ def _cmd_oeis(args) -> int:
         f"{spec.sequence_id} vs {generator}: {result.checked} terms match "
         f"(indices {result.first_index}..{result.last_index})"
     )
-    return 0
+    return 0 if result.passed else 1
 
 
 def _cmd_cache(args) -> int:
     if args.action == "build":
         table = tables.build_cache(
-            args.path,
-            max_n=args.max_n,
-            max_m=args.max_m,
-            budget=args.budget,
-            workers=args.threads,
+            args.path, max_n=args.max_n, max_m=args.max_m, budget=args.budget
         )
         print(f"wrote {len(table.entries)} entries to {args.path}")
         return 0
     if args.action == "check":
-        checked = tables.check_cache(
-            args.path, sample_n=args.sample, budget=args.budget, workers=args.threads
-        )
+        checked = tables.check_cache(args.path, sample_n=args.sample, budget=args.budget)
         print(f"checked {checked} entries: coherent")
         return 0
     removed = tables.clear_cache(args.path)

@@ -6,6 +6,9 @@ budget exceeded, 4 = domain violation (structurally valid input outside
 an operation's domain).
 """
 
+# Default cap on the objects one enumeration may visit; see ``check_budget``.
+DEFAULT_BUDGET = 50_000_000
+
 
 class FlatstirError(Exception):
     """Base class for all package errors."""
@@ -50,6 +53,13 @@ class BudgetExceededError(FlatstirError):
         super().__init__(
             f"{what} would visit {projected} objects, exceeding the budget of {cap}"
         )
+
+
+def check_budget(projected: int, budget: int, what: str) -> int:
+    """The enumeration budget guard: return ``projected``, or raise if it exceeds ``budget``."""
+    if projected > budget:
+        raise BudgetExceededError(projected, budget, what)
+    return projected
 
 
 class DomainError(FlatstirError):

@@ -7,8 +7,8 @@ provably within 1/4 of an integer.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, prod
+from typing import Iterator
 
 from .errors import SeriesPrecisionError
 
@@ -20,7 +20,15 @@ def double_factorial(n: int) -> int:
     return prod(range(1, 2 * n, 2))
 
 
-@lru_cache(maxsize=None)
+def _stirling2_rows(a_max: int) -> Iterator[list[int]]:
+    """Rows [S(a, 0), ..., S(a, a)] for a = 0..a_max, each built from the one before."""
+    row = [1]
+    yield row
+    for a in range(1, a_max + 1):
+        row = [0] + [b * row[b] + row[b - 1] for b in range(1, a)] + [1]
+        yield row
+
+
 def stirling2(a: int, b: int) -> int:
     """Stirling number of the second kind: partitions of an a-set into b nonempty blocks.
 
@@ -30,27 +38,32 @@ def stirling2(a: int, b: int) -> int:
     """
     if a < 0 or b < 0:
         raise ValueError("arguments must be nonnegative")
-    if a == 0:
-        return 1 if b == 0 else 0
-    if b == 0 or b > a:
+    if b > a:
         return 0
-    return b * stirling2(a - 1, b) + stirling2(a - 1, b - 1)
+    for row in _stirling2_rows(a):
+        pass
+    return row[b]
 
 
 def dowling(n: int) -> int:
     """Number of type B set partitions of [-n, n].
 
-    Counts by zero-block support size i, then by the number k of block
-    pairs: sum_i C(n,i) * sum_k 2^(n-i-k) * S(n-i, k).  The i = n term
-    (everything in the zero-block) must contribute exactly 1, which is
-    why ``stirling2`` uses S(0,0) = 1.
+    Counts by the number j of magnitudes outside the zero-block's support,
+    then by the number k of block pairs they form:
+    sum_j C(n,j) * sum_k 2^(j-k) * S(j, k).  The j = 0 term (everything
+    in the zero-block) must contribute exactly 1, which is why
+    ``stirling2`` uses S(0,0) = 1.  The Stirling rows are built one at a
+    time, so any n runs in O(n) big integers of memory and no recursion.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return sum(
-        comb(n, i) * sum(2 ** (n - i - k) * stirling2(n - i, k) for k in range(n - i + 1))
-        for i in range(n + 1)
-    )
+    total = 0
+    for j, row in enumerate(_stirling2_rows(n)):
+        weighted = 0
+        for s in row:  # Horner's rule for sum_k 2^(j-k) * S(j, k)
+            weighted = 2 * weighted + s
+        total += comb(n, j) * weighted
+    return total
 
 
 def flat2_recurrence(n: int) -> int:

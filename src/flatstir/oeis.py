@@ -40,14 +40,12 @@ class OeisSequence:
 class GeneratorSpec:
     """Local counterpart of one OEIS sequence.
 
-    ``local_term`` maps a b-file index to the locally computed value;
-    ``min_index`` is the smallest b-file index the generator covers.
+    ``local_term`` maps a b-file index to the locally computed value.
     """
 
     sequence_id: str
     description: str
     local_term: Callable[[int], int]
-    min_index: int = 0
 
 
 GENERATORS: dict[str, GeneratorSpec] = {
@@ -134,8 +132,6 @@ def compare_sequence(
     first = last = 0
     mismatch = None
     for index, value in sequence.terms:
-        if index < spec.min_index:
-            continue
         if max_terms is not None and checked >= max_terms:
             break
         local = spec.local_term(index)

@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .bijection import iter_flattened_letters
-from .errors import BudgetExceededError, CacheCoherenceError, TableFormatError
+from .errors import DEFAULT_BUDGET, CacheCoherenceError, TableFormatError, check_budget
 from .formulas import dowling, flatm_recurrence, max_runs, mstirling_count
-from .words import DEFAULT_BUDGET, count_stirling_stats
+from .words import count_stirling_stats, run_starts
 
 KINDS = ("stirling", "flat", "flat_k", "typeb", "mstirling_flat")
 PROVENANCES = ("formula", "enumeration", "cached")
@@ -71,19 +71,12 @@ def count_runs_via_bijection(n: int, budget: int = DEFAULT_BUDGET) -> dict[int, 
     """Run-count distribution over all flattened doubled words of order n.
 
     Enumerates partition images directly (never the full word set); the
-    words are flattened by construction, so only descents are counted.
+    words are flattened by construction, so only their runs are counted.
     """
-    projected = dowling(n - 1)
-    if projected > budget:
-        raise BudgetExceededError(projected, budget, f"flattened words of order {n}")
+    check_budget(dowling(n - 1), budget, f"flattened words of order {n}")
     by_runs: dict[int, int] = {}
     for letters in iter_flattened_letters(n):
-        runs = 1
-        prev = letters[0]
-        for x in letters[1:]:
-            if x < prev:
-                runs += 1
-            prev = x
+        runs = len(run_starts(letters))
         by_runs[runs] = by_runs.get(runs, 0) + 1
     return by_runs
 
@@ -167,11 +160,30 @@ def table1_csv(table: CountTable, n_max: int, k_max: int | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_table1_csv(text: str) -> tuple[CountTable, int, int]:
-    """Inverse of ``table1_csv``; returns (table, n_max, k_max)."""
+def _csv_lines(text: str) -> list[str]:
+    """The nonblank lines of CSV text, header first; empty text is an error."""
     lines = [ln for ln in text.split("\n") if ln]
     if not lines:
         raise TableFormatError("empty CSV")
+    return lines
+
+
+def _int_rows(lines: list[str], width: int) -> Iterator[list[int]]:
+    """The data rows after the header as integers; each must have ``width`` cells."""
+    for row_no, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise TableFormatError(f"row {row_no}: expected {width} cells")
+        try:
+            values = [int(c) for c in cells]
+        except ValueError:
+            raise TableFormatError(f"row {row_no}: non-integer cell") from None
+        yield values
+
+
+def parse_table1_csv(text: str) -> tuple[CountTable, int, int]:
+    """Inverse of ``table1_csv``; returns (table, n_max, k_max)."""
+    lines = _csv_lines(text)
     header = lines[0].split(",")
     if header[:3] != ["n", "|Q_n|", "|flat|"]:
         raise TableFormatError(f"unexpected header {lines[0]!r}")
@@ -180,14 +192,7 @@ def parse_table1_csv(text: str) -> tuple[CountTable, int, int]:
         raise TableFormatError(f"unexpected run-count columns in header {lines[0]!r}")
     table = CountTable()
     n_max = 0
-    for row_no, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise TableFormatError(f"row {row_no}: expected {len(header)} cells")
-        try:
-            values = [int(c) for c in cells]
-        except ValueError:
-            raise TableFormatError(f"row {row_no}: non-integer cell") from None
+    for values in _int_rows(lines, len(header)):
         n = values[0]
         n_max = max(n_max, n)
         table.put("stirling", n, 2, None, values[1], "cached")
@@ -212,23 +217,14 @@ def table2_csv(table: CountTable, n_max: int, m_max: int = 5) -> str:
 
 def parse_table2_csv(text: str) -> tuple[CountTable, int, int]:
     """Inverse of ``table2_csv``; returns (table, n_max, m_max)."""
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines:
-        raise TableFormatError("empty CSV")
+    lines = _csv_lines(text)
     header = lines[0].split(",")
     if header[0] != "n" or header[1:] != [f"m={m}" for m in range(2, len(header) + 1)]:
         raise TableFormatError(f"unexpected header {lines[0]!r}")
     m_max = len(header)
     table = CountTable()
     n_max = 0
-    for row_no, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise TableFormatError(f"row {row_no}: expected {len(header)} cells")
-        try:
-            values = [int(c) for c in cells]
-        except ValueError:
-            raise TableFormatError(f"row {row_no}: non-integer cell") from None
+    for values in _int_rows(lines, len(header)):
         n = values[0]
         n_max = max(n_max, n)
         for m, cnt in enumerate(values[1:], start=2):
@@ -287,7 +283,7 @@ def table_from_json(text: str) -> CountTable:
 # ------------------------------------------------------------------- cache
 
 
-def _derive_entry(key: Key, budget: int, workers: int, row_cache: dict) -> int | None:
+def _derive_entry(key: Key, budget: int, row_cache: dict) -> int | None:
     """Recompute one entry from scratch; None when no derivation is wired up."""
     kind, n, m, k = key
     if kind == "typeb":
@@ -306,11 +302,7 @@ def _derive_entry(key: Key, budget: int, workers: int, row_cache: dict) -> int |
 
 
 def build_cache(
-    path: str,
-    max_n: int = 10,
-    max_m: int = 5,
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
+    path: str, max_n: int = 10, max_m: int = 5, budget: int = DEFAULT_BUDGET
 ) -> CountTable:
     """Populate the count cache and write it to ``path``.
 
@@ -355,18 +347,13 @@ def load_cache(path: str, verify_formulas: bool = True) -> CountTable:
             kind = key[0]
             if kind == "flat_k":
                 continue  # enumeration-backed; verified by check_cache
-            derived = _derive_entry(key, budget=0, workers=1, row_cache={})
+            derived = _derive_entry(key, budget=0, row_cache={})
             if derived is not None and derived != count:
                 raise CacheCoherenceError(key, count, derived)
     return table
 
 
-def check_cache(
-    path: str,
-    sample_n: int = 8,
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
-) -> int:
+def check_cache(path: str, sample_n: int = 8, budget: int = DEFAULT_BUDGET) -> int:
     """Recompute cached entries and compare; returns the number checked.
 
     Formula-backed entries are all recomputed; enumeration-backed
@@ -380,7 +367,7 @@ def check_cache(
         kind, n, _m, _k = key
         if kind == "flat_k" and n > sample_n:
             continue
-        derived = _derive_entry(key, budget=budget, workers=workers, row_cache=row_cache)
+        derived = _derive_entry(key, budget=budget, row_cache=row_cache)
         if derived is None:
             continue
         count = table.entries[key][0]

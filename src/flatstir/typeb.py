@@ -38,10 +38,14 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import PartitionSyntaxError, BudgetExceededError, NotCanonicalError, NotTypeBError
+from .errors import (
+    DEFAULT_BUDGET,
+    NotCanonicalError,
+    NotTypeBError,
+    PartitionSyntaxError,
+    check_budget,
+)
 from .formulas import dowling
-
-TYPEB_DEFAULT_BUDGET = 50_000_000
 
 _ELEMENT_RE = re.compile(r"^(?:0|-?[1-9][0-9]*)$")
 
@@ -146,11 +150,14 @@ def validate_canonical(candidate: TypeBPartition) -> tuple[bool, list[Diagnostic
             )
             break
         seen.add(v)
-    if set(magnitudes) != set(range(candidate.n + 1)):
+    # distinct == set(range(n + 1)) without building it: parsed text can make n huge
+    distinct = set(magnitudes)
+    in_range = all(0 <= v <= candidate.n for v in distinct)
+    if not in_range or len(distinct) != max(candidate.n + 1, 0):
         diags.append(
             Diagnostic(
                 "coverage-gap",
-                f"magnitudes must cover 0..{candidate.n} exactly; got {sorted(set(magnitudes))}",
+                f"magnitudes must cover 0..{candidate.n} exactly; got {sorted(distinct)}",
             )
         )
     return (not diags, diags)
@@ -364,7 +371,7 @@ def _iter_typeb_raw(
                 yield zero_block, blocks
 
 
-def generate_typeb(n: int, budget: int = TYPEB_DEFAULT_BUDGET) -> Iterator[TypeBPartition]:
+def generate_typeb(n: int, budget: int = DEFAULT_BUDGET) -> Iterator[TypeBPartition]:
     """Yield every canonical type B partition of [-n, n] exactly once.
 
     The stream is deterministic (see ``_iter_typeb_raw``) and its length
@@ -373,8 +380,6 @@ def generate_typeb(n: int, budget: int = TYPEB_DEFAULT_BUDGET) -> Iterator[TypeB
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    projected = dowling(n)
-    if projected > budget:
-        raise BudgetExceededError(projected, budget, f"generating type B partitions of [-{n}, {n}]")
+    check_budget(dowling(n), budget, f"generating type B partitions of [-{n}, {n}]")
     for zero_block, blocks in _iter_typeb_raw(n):
         yield TypeBPartition(n, zero_block, tuple(SignedBlock(ng, ps) for ng, ps in blocks))

@@ -34,8 +34,6 @@ from .formulas import (
     mstirling_count,
 )
 
-SUITES = ("bijection", "runs", "table1", "table2", "conjectures", "all")
-
 
 @dataclass
 class CaseResult:
@@ -57,7 +55,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return not self.budget_hit and all(c.passed for c in self.cases)
+        """True when at least one case ran, every case passed and no budget was hit."""
+        return bool(self.cases) and not self.budget_hit and all(c.passed for c in self.cases)
 
     def add(self, description: str, expected, actual) -> None:
         self.cases.append(CaseResult(description, str(expected), str(actual)))
@@ -262,6 +261,17 @@ def verify_conjectures(max_n: int = 10, budget: int = words.DEFAULT_BUDGET) -> V
     return report
 
 
+# suite -> (default max_n, call taking (max_n, budget, workers))
+_SUITE_CALLS = {
+    "bijection": (6, lambda n, budget, workers: verify_bijection(n, budget)),
+    "runs": (6, lambda n, budget, workers: verify_runs(n, budget)),
+    "table1": (7, verify_table1),
+    "table2": (5, lambda n, budget, workers: verify_table2(n, 5, budget, workers)),
+    "conjectures": (10, lambda n, budget, workers: verify_conjectures(n, budget)),
+}
+SUITES = (*_SUITE_CALLS, "all")
+
+
 def run_suite(
     suite: str,
     max_n: int | None = None,
@@ -269,22 +279,10 @@ def run_suite(
     workers: int = 1,
 ) -> list[VerificationReport]:
     """Run one named suite (or every suite) at its default or requested scale."""
-    if suite == "bijection":
-        return [verify_bijection(max_n or 6, budget)]
-    if suite == "runs":
-        return [verify_runs(max_n or 6, budget)]
-    if suite == "table1":
-        return [verify_table1(max_n or 7, budget, workers)]
-    if suite == "table2":
-        return [verify_table2(max_n or 5, 5, budget, workers)]
-    if suite == "conjectures":
-        return [verify_conjectures(max_n or 10, budget)]
-    if suite == "all":
-        return [
-            verify_bijection(max_n or 6, budget),
-            verify_runs(max_n or 6, budget),
-            verify_table1(max_n or 7, budget, workers),
-            verify_table2(max_n or 5, 5, budget, workers),
-            verify_conjectures(max_n or 10, budget),
-        ]
-    raise ValueError(f"unknown suite {suite!r}")
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    names = list(_SUITE_CALLS) if suite == "all" else [suite]
+    return [
+        call(default if max_n is None else max_n, budget, workers)
+        for default, call in (_SUITE_CALLS[name] for name in names)
+    ]

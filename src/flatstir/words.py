@@ -48,12 +48,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceededError, NotStirlingError, WordSyntaxError
+from .errors import DEFAULT_BUDGET, NotStirlingError, WordSyntaxError, check_budget
 from .formulas import mstirling_count
 
-DEFAULT_BUDGET = 50_000_000
-
-# Insertion order at which count_stirling_stats splits the walk into tasks.
+# Insertion order at which the walks split into tasks.
 SPLIT_ORDER = 3
 # Smallest |Q_n^m| for which count_stirling_stats starts a process pool.
 # The pruned walk visits far fewer children than |Q_n^m|: 59k at
@@ -135,50 +133,52 @@ class RunDecomposition:
         return len(self.segments)
 
 
-def _descent_positions(letters: Sequence[int]) -> list[int]:
-    return [i for i in range(len(letters) - 1) if letters[i] > letters[i + 1]]
+def run_starts(letters: Sequence[int]) -> list[int]:
+    """Start index of each run: 0 and every position after a descent; none when empty.
+
+    The one run scanner: run decompositions, descent and run counts and
+    the flattened test all derive from it.
+    """
+    starts = []
+    prev = math.inf  # so that position 0 starts a run
+    for i, x in enumerate(letters):
+        if x < prev:
+            starts.append(i)
+        prev = x
+    return starts
+
+
+def leader_drop(letters: Sequence[int]) -> tuple[int, int] | None:
+    """(start, previous leader) of the first run whose leader is below the one before, or None.
+
+    None means the leaders weakly increase, i.e. the word is flattened.
+    """
+    starts = run_starts(letters)
+    for prev, start in zip(starts, starts[1:]):
+        if letters[start] < letters[prev]:
+            return start, letters[prev]
+    return None
 
 
 def run_decomposition(w: StirlingWord) -> RunDecomposition:
     """Split ``w`` into its runs; the empty word has no segments."""
-    letters = w.letters
-    if not letters:
-        return RunDecomposition((), ())
-    starts = [0] + [i + 1 for i in _descent_positions(letters)]
-    ends = starts[1:] + [len(letters)]
-    segments = tuple(zip(starts, ends))
-    return RunDecomposition(segments, tuple(letters[s] for s, _ in segments))
-
-
-def _is_flat(letters: Sequence[int]) -> bool:
-    """Flattened test on raw letters: run leading terms weakly increasing."""
-    if not letters:
-        return True
-    lead = prev = letters[0]
-    for x in letters[1:]:
-        if x < prev:
-            if x < lead:
-                return False
-            lead = x
-        prev = x
-    return True
+    starts = run_starts(w.letters)
+    segments = tuple(zip(starts, starts[1:] + [len(w.letters)]))
+    return RunDecomposition(segments, tuple(w.letters[s] for s in starts))
 
 
 def is_flattened(w: StirlingWord) -> bool:
     """True iff the leading terms of the runs of ``w`` are weakly increasing."""
-    return _is_flat(w.letters)
+    return leader_drop(w.letters) is None
 
 
 def descent_count(w: StirlingWord) -> int:
     """Number of positions i with w_i > w_{i+1}; run count minus one when nonempty."""
-    return len(_descent_positions(w.letters))
+    return max(len(run_starts(w.letters)) - 1, 0)
 
 
 def _check_budget(n: int, m: int, budget: int) -> int:
-    projected = mstirling_count(n, m)
-    if projected > budget:
-        raise BudgetExceededError(projected, budget, f"generating order-{n} words (m={m})")
-    return projected
+    return check_budget(mstirling_count(n, m), budget, f"generating order-{n} words (m={m})")
 
 
 def _iter_letters_from(word: tuple[int, ...], v: int, n: int, m: int) -> Iterator[tuple[int, ...]]:
@@ -261,23 +261,14 @@ def scan_stirling_stats(
 ) -> StirlingStats:
     """Brute-force reference for ``count_stirling_stats``: scan all of Q_n^m.
 
-    With ``workers`` > 1 the insertion tree is split at a fixed shallow
-    level and the per-subtree counts are summed (associative reduction),
-    which cannot change the result, only the wall time.
+    The insertion tree is split at order ``SPLIT_ORDER`` and the counts
+    below each prefix are summed (an associative reduction, which cannot
+    change the result); with ``workers`` > 1 the prefixes go to a pool.
     """
     _check_budget(n, m, budget)
-    split_order = 3
-    if workers <= 1 or n <= split_order:
-        return _stats_subtree((), 1, n, m)
-    stats = StirlingStats(n, m)
-    prefixes = list(_iter_letters_from((), 1, split_order, m))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_stats_subtree, prefix, split_order + 1, n, m) for prefix in prefixes
-        ]
-        for fut in futures:
-            stats.merge(fut.result())
-    return stats
+    split = min(n, SPLIT_ORDER)
+    jobs = [(prefix, split + 1, n, m) for prefix in _iter_letters_from((), 1, split, m)]
+    return _sum_tasks(StirlingStats(n, m), _stats_subtree, jobs, workers)
 
 
 def _subtree_sizes(n: int, m: int) -> list[int]:
@@ -354,6 +345,23 @@ def pool_size(threads: int, tasks: int, cpus: int) -> int:
     return min(threads, tasks, cpus)
 
 
+def _sum_tasks(stats: StirlingStats, task, jobs: list[tuple], threads: int) -> StirlingStats:
+    """Merge ``task(*job)`` for every job into ``stats``.
+
+    With ``threads`` > 1 the jobs run in one process pool of ``pool_size``
+    workers, otherwise serially in this process.
+    """
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=pool_size(threads, len(jobs), _cpu_count())) as pool:
+            futures = [pool.submit(task, *job) for job in jobs]
+            parts = [fut.result() for fut in futures]
+    else:
+        parts = [task(*job) for job in jobs]
+    for part in parts:
+        stats.merge(part)
+    return stats
+
+
 def count_stirling_stats(
     n: int, m: int = 2, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> StirlingStats:
@@ -370,17 +378,9 @@ def count_stirling_stats(
     """
     projected = _check_budget(n, m, budget)
     stats = StirlingStats(n, m)
-    prefixes = list(_walk_flat((), 0, min(n, SPLIT_ORDER), m, _subtree_sizes(n, m), stats))
-    if workers > 1 and projected >= POOL_MIN_WORDS:
-        jobs = pool_size(workers, len(prefixes), _cpu_count())
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_walk_stats, word, runs, n, m) for word, runs in prefixes]
-            parts = [fut.result() for fut in futures]
-    else:
-        parts = [_walk_stats(word, runs, n, m) for word, runs in prefixes]
-    for part in parts:
-        stats.merge(part)
-    return stats
+    prefixes = _walk_flat((), 0, min(n, SPLIT_ORDER), m, _subtree_sizes(n, m), stats)
+    jobs = [(word, runs, n, m) for word, runs in prefixes]
+    return _sum_tasks(stats, _walk_stats, jobs, workers if projected >= POOL_MIN_WORDS else 1)
 
 
 def format_word(word: StirlingWord | Iterable[int]) -> str:

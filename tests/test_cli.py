@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -186,10 +187,10 @@ class TestCache:
     def test_build_check_clear_cycle(self, capsys, tmp_path):
         path = str(tmp_path / "cache.json")
         code, out, _ = run_cli(capsys, "cache", "build", "--path", path,
-                               "--max-n", "5", "--threads", "1")
+                               "--max-n", "5")
         assert code == 0 and "entries" in out
         code, out, _ = run_cli(capsys, "cache", "check", "--path", path,
-                               "--sample", "5", "--threads", "1")
+                               "--sample", "5")
         assert code == 0 and "coherent" in out
         code, out, _ = run_cli(capsys, "cache", "clear", "--path", path)
         assert code == 0 and "removed" in out
@@ -198,15 +199,14 @@ class TestCache:
 
     def test_tampered_check_exit_1(self, capsys, tmp_path):
         path = str(tmp_path / "cache.json")
-        run_cli(capsys, "cache", "build", "--path", path, "--max-n", "4",
-                "--threads", "1")
+        run_cli(capsys, "cache", "build", "--path", path, "--max-n", "4")
         doc = json.loads(open(path).read())
         for entry in doc["entries"]:
             if entry["kind"] == "flat" and entry["n"] == 4:
                 entry["count"] = "23"
         open(path, "w").write(json.dumps(doc))
         code, _, err = run_cli(capsys, "cache", "check", "--path", path,
-                               "--sample", "4", "--threads", "1")
+                               "--sample", "4")
         assert code == 1 and "flat" in err
 
     def test_check_missing_file(self, capsys, tmp_path):
@@ -238,6 +238,9 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
         ["gen", "flat", "--n", "3", "--m", "0"],
         ["gen", "flat", "--n", "0", "--via", "bijection"],
         ["table", "--max-n", "0"],
+        ["oeis", "dowling", "--max-terms", "0"],
+        ["oeis", "dowling", "--max-terms", "-1"],
+        ["verify", "runs", "--max-n", "0"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -252,9 +255,45 @@ def test_out_of_range_argument_exits_2_without_traceback(argv):
     assert proc.stdout == ""
 
 
+def test_huge_partition_magnitude_is_rejected_in_bounded_memory():
+    """The coverage check must not build range(n + 1) for the largest magnitude n."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatstir.cli", "map", "phi", "0 99999999999"],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert "cover 0..99999999999" in proc.stderr
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exits_2(capsys, threads):
     for argv in (["table", "--max-n", "3"], ["verify", "table1", "--max-n", "2"]):
         code, out, err = run_cli(capsys, *argv, "--threads", threads)
         assert code == 2 and out == ""
         assert err == f"error: --threads must be at least 1, got {threads}\n"
+
+
+def test_max_k_below_max_runs_names_the_maximum(capsys):
+    code, out, err = run_cli(capsys, "table", "--max-n", "5", "--max-k", "2")
+    assert code == 2 and out == ""
+    assert err == "error: --max-k 2 would drop nonzero cells: max_runs(5) = 4\n"
+    code, out, _ = run_cli(capsys, "table", "--max-n", "5", "--max-k", "4")
+    assert code == 0
+    assert all(sum(map(int, row.split(",")[3:])) == int(row.split(",")[2])
+               for row in out.splitlines()[1:])
+
+
+def test_oeis_comparison_that_checked_nothing_exits_1(capsys, monkeypatch):
+    from flatstir import oeis
+
+    monkeypatch.setattr(
+        oeis, "compare_sequence",
+        lambda seq, gen, max_terms=None: oeis.SequenceComparison(gen, seq.id, 0, 0, 0, None),
+    )
+    code, _, _ = run_cli(capsys, "oeis", "dowling")
+    assert code == 1

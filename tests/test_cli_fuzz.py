@@ -1,0 +1,106 @@
+"""Hypothesis fuzz over the CLI argument grammar: exit codes stay in 0..4, with no traceback.
+
+Values are kept small (orders up to 5, no --max-n left at a large
+default) so every example runs in well under a second and no scan is big
+enough to start a process pool.
+"""
+
+import contextlib
+import io
+import os
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
+from flatstir import oeis, verify
+from flatstir.cli import main
+
+SMALL = st.integers(min_value=-2, max_value=5)
+BUDGET = st.integers(min_value=-1, max_value=300)
+
+
+def optional(flag: str, values) -> st.SearchStrategy[list[str]]:
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+def command(head: list[str], *options) -> st.SearchStrategy[list[str]]:
+    return st.tuples(*options).map(lambda parts: head + [a for part in parts for a in part])
+
+
+def required(flag: str, values) -> st.SearchStrategy[list[str]]:
+    return values.map(lambda v: [flag, str(v)])
+
+
+GEN = st.sampled_from(["stirling", "flat", "typeb"]).flatmap(
+    lambda obj: command(
+        ["gen", obj],
+        required("--n", SMALL),
+        optional("--m", SMALL),
+        optional("--format", st.sampled_from(["lines", "json"])),
+        optional("--via", st.sampled_from(["filter", "bijection"])),
+        optional("--budget", BUDGET),
+    )
+)
+MAP = st.tuples(
+    st.sampled_from(["phi", "psi"]), st.text(alphabet="0123456789 -|", min_size=0, max_size=12)
+).map(lambda pair: ["map", pair[0], pair[1]])
+TABLE = command(
+    ["table"],
+    required("--max-n", SMALL),
+    optional("--max-k", SMALL),
+    optional("--mode", st.sampled_from(["filter", "bijection", "formula"])),
+    optional("--format", st.sampled_from(["csv", "json"])),
+    st.sampled_from([[], ["--mstirling"]]),
+    optional("--max-m", SMALL),
+    optional("--threads", st.integers(min_value=-2, max_value=4)),
+    optional("--budget", BUDGET),
+)
+VERIFY = st.sampled_from(verify.SUITES).flatmap(
+    lambda suite: command(
+        ["verify", suite],
+        required("--max-n", SMALL),
+        optional("--threads", st.integers(min_value=-2, max_value=4)),
+        optional("--budget", BUDGET),
+    )
+)
+OEIS = st.sampled_from(
+    sorted(oeis.GENERATORS) + [s.sequence_id for s in oeis.GENERATORS.values()] + ["A000001"]
+).flatmap(
+    lambda seq: command(
+        ["oeis", seq],
+        optional("--generator", st.sampled_from(sorted(oeis.GENERATORS))),
+        optional("--max-terms", SMALL),
+    )
+)
+CACHE = st.sampled_from(["build", "check", "clear"]).flatmap(
+    lambda action: command(
+        ["cache", action, "--path", "{cache}"],
+        required("--max-n", SMALL),
+        optional("--max-m", SMALL),
+        optional("--sample", SMALL),
+        optional("--budget", BUDGET),
+    )
+)
+COMMANDS = st.one_of(GEN, MAP, TABLE, VERIFY, OEIS, CACHE)
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the grammar itself
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(COMMANDS, min_size=1, max_size=2))
+def test_cli_exit_codes_are_total(commands):
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = os.path.join(tmp, "cache.json")
+        for argv in commands:
+            argv = [cache if a == "{cache}" else a for a in argv]
+            code, err = run(argv)
+            assert code in (0, 1, 2, 3, 4), (argv, code, err)
+            assert "Traceback" not in err, (argv, err)

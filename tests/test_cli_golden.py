@@ -1,0 +1,71 @@
+"""Golden CLI output: stdout digests and exit codes pinned for a fixed command list.
+
+The digests were taken from the build before the run scanners, budget
+guards and pool paths were merged; a refactor that changes any printed
+byte fails here.  ``elapsed_seconds`` lines are dropped before hashing.
+The merged run scanner is also pinned against the brute-force oracle.
+"""
+
+import hashlib
+
+import pytest
+
+from flatstir import words
+from flatstir.cli import main
+
+GOLDEN = [
+    (["table", "--max-n", "7"], 0,
+     "eee6e1e5ad6018a9ff8e1152e090d5cee5923f912504ce45445f651ccc610491"),
+    (["table", "--max-n", "7", "--format", "json"], 0,
+     "e265fa470e98edaa989b767edd92364a6f6c6e64d9971bc29fea50ff866d9755"),
+    (["table", "--max-n", "7", "--mode", "filter"], 0,
+     "eee6e1e5ad6018a9ff8e1152e090d5cee5923f912504ce45445f651ccc610491"),
+    (["table", "--mstirling", "--max-n", "5", "--mode", "filter"], 0,
+     "47819e6b4e02107455226adeac28a1291d313a9847b19dbb96ce14a32c93b785"),
+    (["gen", "flat", "--n", "5", "--m", "3"], 0,
+     "c48ee2309ac75a3f787f0236014af3224d9f022b0a684263708c2ec1a0f7992b"),
+    (["gen", "flat", "--n", "5", "--via", "bijection"], 0,
+     "747eadaa0e758b94fb25781edbb9c1c69da0597ac0bf746a44e03916dbabe70f"),
+    (["gen", "typeb", "--n", "3"], 0,
+     "0ba5abf5dd67dfe464a2fb6f952b7b5af3a20710552c276ba49c96e231107c97"),
+    (["map", "phi", "0 1 2 | -4 3"], 0,
+     "4556a1029c712ec8f7ce28e3e9c5d4ce329628111d83430eba1a4f3aa60c182c"),
+    (["map", "psi", "2211"], 4,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["verify", "table1", "--max-n", "5"], 0,
+     "70679371bf681b5a0b3490dd576ae65fff4720f53db859d4d2884696208adc0c"),
+]
+
+
+def stdout_digest(out: str) -> str:
+    kept = "\n".join(ln for ln in out.split("\n") if not ln.startswith("elapsed_seconds"))
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden_stdout_and_exit_code(capsys, argv, code, digest):
+    assert main(argv) == code
+    assert stdout_digest(capsys.readouterr().out) == digest
+
+
+def test_golden_not_flattened_message(capsys):
+    assert main(["map", "psi", "2211"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: run starting at position 2 leads with 1, "
+        "smaller than the previous leading term 2\n"
+    )
+
+
+def test_run_scanner_agrees_with_scan_oracle():
+    for m in range(1, 4):
+        for n in range(0, 6):
+            for word in words.generate_stirling(n, m):
+                oracle = words.StirlingStats(n, m)
+                words._scan_into(oracle, word.letters)
+                flat = oracle.flat_total == 1
+                assert words.is_flattened(word) == flat, word
+                if flat:
+                    runs = len(words.run_starts(word.letters))
+                    assert oracle.flat_by_runs == {runs: 1}, word
+                    assert words.run_decomposition(word).run_count == runs

@@ -1,7 +1,11 @@
 """Closed forms and recurrences against independent oracles and frozen columns."""
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +83,25 @@ def test_dowling_values_and_triangle():
         assert dowling(n) == whitney_row_sum(n)
     # shifted flat column of the frozen table
     assert [dowling(n - 1) for n in range(1, 11)] == [TABLE1[n][1] for n in range(1, 11)]
+
+
+def test_dowling_1200_cold_matches_egf_recurrence():
+    """A fresh interpreter (nothing cached) computes dowling(1200) without recursing."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from flatstir.formulas import dowling; print(hex(dowling(1200)))"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    # D(n+1) = D(n) + sum_k C(n, k) 2^k D(n-k), from the EGF e^x exp((e^(2x) - 1) / 2)
+    d = [1]
+    binomials = [1]  # C(n, k) for k = 0..n
+    for n in range(1200):
+        d.append(d[n] + sum((c * d[n - k]) << k for k, c in enumerate(binomials)))
+        binomials = [1] + [a + b for a, b in zip(binomials, binomials[1:])] + [1]
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert int(out, 16) == d[1200]
 
 
 def test_flat2_recurrence_and_closed_form():

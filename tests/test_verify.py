@@ -52,6 +52,13 @@ def test_render_failure_and_budget():
     assert not report.passed
 
 
+def test_report_without_cases_does_not_pass():
+    report = VerificationReport("empty")
+    assert not report.passed
+    assert "result: FAIL" in report.render()
+    assert not verify_runs(0).passed
+
+
 def test_budget_constrained_suite_reports_budget_hit():
     report = verify_table1(5, budget=10)
     # exhaustive rows beyond the budget are recorded as budget failures
