@@ -26,10 +26,8 @@ from typing import Iterable, Iterator
 
 from .errors import DEFAULT_BUDGET, DomainError, NotFlattenedError, check_budget
 from .formulas import dowling
-from .typeb import SignedBlock, TypeBPartition, _iter_typeb_raw, ensure_canonical
+from .typeb import SignedBlock, TypeBPartition, _iter_typeb_stream, ensure_canonical
 from .words import StirlingWord, is_flattened, leader_drop
-
-RawBlocks = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def shift_magnitudes(values: Iterable[int]) -> frozenset[int]:
@@ -60,12 +58,13 @@ def min_wrapped(values: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _word_letters(zero_block: tuple[int, ...], blocks: RawBlocks) -> tuple[int, ...]:
-    letters = list(min_wrapped(shift_magnitudes(zero_block)))
-    for negatives, positives in blocks:
-        letters.extend(twice_each(shift_magnitudes(negatives)))
-        letters.extend(min_wrapped(shift_magnitudes(positives)))
-    return tuple(letters)
+def _segment(negatives: tuple[int, ...], positives: tuple[int, ...]) -> tuple[int, ...]:
+    """Letters of one part: its doubled negatives, then its wrapped positives."""
+    return twice_each(shift_magnitudes(negatives)) + min_wrapped(shift_magnitudes(positives))
+
+
+def _word_letters(zero_block: tuple[int, ...], blocks: Iterable[SignedBlock]) -> tuple[int, ...]:
+    return sum((_segment(b.negatives, b.positives) for b in blocks), _segment((), zero_block))
 
 
 def partition_to_word(partition: TypeBPartition, verify_output: bool = False) -> StirlingWord:
@@ -76,8 +75,7 @@ def partition_to_word(partition: TypeBPartition, verify_output: bool = False) ->
     by the verification suites, skipped on production paths).
     """
     ensure_canonical(partition)
-    raw = tuple((b.negatives, b.positives) for b in partition.blocks)
-    letters = _word_letters(partition.zero_block, raw)
+    letters = _word_letters(partition.zero_block, partition.blocks)
     word = StirlingWord(letters, 2)
     if verify_output and not is_flattened(word):
         raise NotFlattenedError(f"forward map produced a non-flattened word: {word}")
@@ -174,9 +172,16 @@ def generate_flattened_from_partitions(
 
 
 def iter_flattened_letters(n: int) -> Iterator[tuple[int, ...]]:
-    """Raw-letter variant of ``generate_flattened_from_partitions`` (no validation cost)."""
-    for zero_block, blocks in _iter_typeb_raw(n - 1):
-        yield _word_letters(zero_block, blocks)
+    """Raw-letter variant of ``generate_flattened_from_partitions`` (no validation cost).
+
+    The partition stream encodes each signed block once as its letter
+    segment; a word is its zero-block segment followed by those segments.
+    """
+    zero_block = head = None
+    for support, segments in _iter_typeb_stream(n - 1, _segment):
+        if support is not zero_block:
+            zero_block, head = support, _segment((), support)
+        yield sum(segments, head)
 
 
 def max_runs_witness(n: int) -> StirlingWord:

@@ -291,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     except FlatstirError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or directory path is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

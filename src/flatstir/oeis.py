@@ -100,7 +100,11 @@ def parse_bfile(text: str, sequence_id: str = "") -> OeisSequence:
 
 def read_bfile(path: str, sequence_id: str = "") -> OeisSequence:
     with open(path, encoding="utf-8") as fh:
-        return parse_bfile(fh.read(), sequence_id)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise BFileFormatError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    return parse_bfile(text, sequence_id)
 
 
 def bundled_bfile_text(sequence_id: str) -> str:

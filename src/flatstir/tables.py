@@ -341,7 +341,11 @@ def build_cache(
 def load_cache(path: str, verify_formulas: bool = True) -> CountTable:
     """Read a cache file; formula-derivable entries are re-derived and must agree."""
     with open(path, encoding="utf-8") as fh:
-        table = table_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise TableFormatError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    table = table_from_json(text)
     if verify_formulas:
         for key, (count, _prov) in sorted(table.entries.items()):
             kind = key[0]

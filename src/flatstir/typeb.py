@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -48,6 +49,8 @@ from .errors import (
 from .formulas import dowling
 
 _ELEMENT_RE = re.compile(r"^(?:0|-?[1-9][0-9]*)$")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -200,12 +203,17 @@ def canonicalize(blocks: Iterable[Iterable[int]]) -> TypeBPartition:
     if not elements:
         raise NotTypeBError(3, "a partition must cover at least {0}")
     n = max(abs(v) for v in elements)
-    ground = set(range(-n, n + 1))
-    if len(elements) != len(set(elements)):
+    distinct = set(elements)
+    if len(elements) != len(distinct):
         raise NotTypeBError(2, "blocks are not pairwise disjoint")
-    if set(elements) != ground:
-        missing = sorted(ground - set(elements))
-        raise NotTypeBError(3, f"blocks do not cover [-{n}, {n}] (missing {missing})")
+    # distinct lies in [-n, n], so it covers it iff it has 2n + 1 elements.
+    # A library caller's n can be huge: never build that range; the lazy
+    # scan steps over present elements and stops at the fifth missing one.
+    absent = 2 * n + 1 - len(distinct)
+    if absent:
+        shown = list(islice((v for v in range(-n, n + 1) if v not in distinct), 5))
+        listed = ", ".join(map(str, shown)) + (", ..." if absent > len(shown) else "")
+        raise NotTypeBError(3, f"blocks do not cover [-{n}, {n}] ({absent} missing: {listed})")
     family_set = set(family)
     for b in family:
         if frozenset(-v for v in b) not in family_set:
@@ -339,47 +347,75 @@ def _restricted_growth_strings(length: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 0)
 
 
-def _iter_typeb_raw(
-    n: int,
-) -> Iterator[tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]]:
-    """Raw canonical partitions as (zero_block, ((negatives, positives), ...)).
+def _iter_typeb_stream(
+    n: int, encode: Callable[[tuple[int, ...], tuple[int, ...]], T]
+) -> Iterator[tuple[tuple[int, ...], tuple[T, ...]]]:
+    """Canonical partitions of [-n, n] as (zero_block, (encode(negatives, positives), ...)).
 
-    Deterministic order: zero-block supports in lexicographic subset
-    order, remainder partitions in restricted-growth-string order, then
-    sign vectors in binary counting order over the non-minimal elements
-    taken in ascending order (bit 0 = smallest).
+    Order (a contract: seeded samples of the stream rely on it):
+    zero-block supports in lexicographic subset order, remainder
+    partitions in restricted-growth-string order, then sign vectors in
+    binary counting order over the non-minimal elements taken in
+    ascending order (bit 0 = smallest).  All partitions of one support
+    share one zero-block tuple.
+
+    A block's 2^(s-1) signed variants (its minimum stays positive) are
+    encoded once per call and shared by every partition holding it;
+    variant j negates the non-minimal elements whose bits are set in j
+    (bit 0 = smallest).  For each remainder partition every block gets a
+    column of variant indices, doubled once per non-minimal element in
+    ascending order (the owning block's copy gains that element's bit,
+    the others repeat), so entry i of each column is the block's variant
+    under sign mask i and zipping the columns yields the mask order.
     """
+    memo: dict[tuple[int, ...], list[T]] = {}
+
+    def variants(block: tuple[int, ...]) -> list[T]:
+        found = memo.get(block)
+        if found is None:
+            low, rest = block[0], block[1:]
+            found = memo[block] = [
+                encode(
+                    tuple(v for j, v in enumerate(rest) if mask >> j & 1),
+                    (low,) + tuple(v for j, v in enumerate(rest) if not mask >> j & 1),
+                )
+                for mask in range(1 << len(rest))
+            ]
+        return found
+
     universe = tuple(range(1, n + 1))
     for support in _subsets_lex(universe):
         zero_block = (0,) + support
         rest = tuple(v for v in universe if v not in support)
         for rgs in _restricted_growth_strings(len(rest)):
-            k = max(rgs) + 1 if rgs else 0
-            members: list[list[int]] = [[] for _ in range(k)]
+            if not rgs:
+                yield zero_block, ()
+                continue
+            members: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
             for value, label in zip(rest, rgs):
                 members[label].append(value)
-            non_min = sorted(v for block in members for v in block[1:])
-            for mask in range(1 << len(non_min)):
-                negset = {v for j, v in enumerate(non_min) if mask >> j & 1}
-                blocks = tuple(
-                    (
-                        tuple(v for v in block if v in negset),
-                        tuple(v for v in block if v not in negset),
-                    )
-                    for block in members
-                )
+            owner = {
+                v: (b, 1 << j) for b, block in enumerate(members) for j, v in enumerate(block[1:])
+            }
+            columns = [[0] for _ in members]
+            for v in sorted(owner):
+                b, bit = owner[v]
+                for c, column in enumerate(columns):
+                    column.extend([i | bit for i in column] if c == b else column)
+            tables = [variants(tuple(block)) for block in members]
+            for blocks in zip(*[[t[i] for i in column] for t, column in zip(tables, columns)]):
                 yield zero_block, blocks
 
 
 def generate_typeb(n: int, budget: int = DEFAULT_BUDGET) -> Iterator[TypeBPartition]:
     """Yield every canonical type B partition of [-n, n] exactly once.
 
-    The stream is deterministic (see ``_iter_typeb_raw``) and its length
+    The stream is deterministic (see ``_iter_typeb_stream``) and its length
     is the type B partition count ``dowling(n)``, which is checked
     against the budget before any work happens.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_budget(dowling(n), budget, f"generating type B partitions of [-{n}, {n}]")
-    for zero_block, blocks in _iter_typeb_raw(n):
-        yield TypeBPartition(n, zero_block, tuple(SignedBlock(ng, ps) for ng, ps in blocks))
+    for zero_block, blocks in _iter_typeb_stream(n, SignedBlock):
+        yield TypeBPartition(n, zero_block, blocks)

@@ -270,6 +270,62 @@ def test_huge_partition_magnitude_is_rejected_in_bounded_memory():
     assert "cover 0..99999999999" in proc.stderr
 
 
+def test_huge_block_family_is_canonicalized_in_bounded_memory():
+    """The coverage check of canonicalize must not build range(-n, n + 1) either."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    script = (
+        "from flatstir.errors import NotTypeBError\n"
+        "from flatstir.typeb import canonicalize\n"
+        "try:\n"
+        "    canonicalize([[0], [10**11], [-10**11]])\n"
+        "except NotTypeBError as exc:\n"
+        "    print(exc.condition, exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "3 not a type B set partition (condition 3): blocks do not cover "
+        "[-100000000000, 100000000000] (199999999998 missing: -99999999999, "
+        "-99999999998, -99999999997, -99999999996, -99999999995, ...)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--max-n", "2", "--output", "{dir}"],
+        ["oeis", "dowling", "--bfile", "{dir}"],
+        ["cache", "check", "--path", "{dir}"],
+        ["cache", "build", "--path", "{dir}", "--max-n", "2"],
+        ["oeis", "dowling", "--bfile", "{binary}"],
+        ["cache", "check", "--path", "{binary}"],
+        ["cache", "build", "--path", "{binary}", "--max-n", "2"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_unusable_path_exits_2_without_traceback(argv, tmp_path):
+    """A directory, or a file that is not UTF-8 text, is a usage error with one line."""
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe1 1\n")
+    argv = [a.format(dir=tmp_path, binary=binary) for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatstir.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    assert binary.read_bytes() == b"\xff\xfe1 1\n"
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exits_2(capsys, threads):
     for argv in (["table", "--max-n", "3"], ["verify", "table1", "--max-n", "2"]):

@@ -2,7 +2,9 @@
 
 Values are kept small (orders up to 5, no --max-n left at a large
 default) so every example runs in well under a second and no scan is big
-enough to start a process pool.
+enough to start a process pool.  File arguments (``--output``,
+``--bfile``, ``cache --path``) are drawn as a missing path, a directory
+or a file of arbitrary bytes.
 """
 
 import contextlib
@@ -94,6 +96,41 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+# a path argument: missing (with or without its parent), a directory, or a file's bytes
+PATHS = st.one_of(
+    st.sampled_from(["absent.txt", "absent/file.txt", "directory"]), st.binary(max_size=48)
+)
+FILE_COMMANDS = st.one_of(
+    command(
+        ["table", "--output", "{path}"],
+        required("--max-n", SMALL),
+        optional("--format", st.sampled_from(["csv", "json"])),
+    ),
+    st.sampled_from(sorted(oeis.GENERATORS)).flatmap(
+        lambda seq: command(["oeis", seq, "--bfile", "{path}"], optional("--max-terms", SMALL))
+    ),
+    st.sampled_from(["build", "check", "clear"]).flatmap(
+        lambda action: command(
+            ["cache", action, "--path", "{path}"],
+            required("--max-n", SMALL),
+            optional("--sample", SMALL),
+        )
+    ),
+)
+
+
+def materialize(tmp: str, drawn) -> str:
+    """A path under ``tmp`` for one drawn PATHS value."""
+    if isinstance(drawn, bytes):
+        path = os.path.join(tmp, "input.bin")
+        with open(path, "wb") as fh:
+            fh.write(drawn)
+        return path
+    if drawn == "directory":
+        return tmp
+    return os.path.join(tmp, drawn)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.lists(COMMANDS, min_size=1, max_size=2))
 def test_cli_exit_codes_are_total(commands):
@@ -104,3 +141,13 @@ def test_cli_exit_codes_are_total(commands):
             code, err = run(argv)
             assert code in (0, 1, 2, 3, 4), (argv, code, err)
             assert "Traceback" not in err, (argv, err)
+
+
+@settings(max_examples=120, deadline=None)
+@given(FILE_COMMANDS, PATHS)
+def test_cli_file_arguments_are_total(argv, drawn):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [materialize(tmp, drawn) if a == "{path}" else a for a in argv]
+        code, err = run(argv)
+        assert code in (0, 1, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
