@@ -37,6 +37,7 @@ from .formulas import (
     flatm_series,
     max_runs,
     mstirling_count,
+    run_distribution,
     stirling2,
 )
 from .tables import (

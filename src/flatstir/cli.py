@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 success, 1 verification or
 coherence mismatch, 2 usage/parse error, 3 enumeration budget exceeded,
-4 domain violation.  Comparable output goes to stdout; diagnostics go
-to stderr.
+4 domain violation.  A stdout closed by its reader ends the command
+with 0 and nothing on stderr.  Comparable output goes to stdout;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -105,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument("--path", required=True)
     p_cache.add_argument("--max-n", type=int, default=10)
     p_cache.add_argument("--max-m", type=int, default=5)
-    p_cache.add_argument("--sample", type=int, default=8, help="flat_k rows re-derived by check")
-    _add_budget(p_cache)
 
     return parser
 
@@ -257,13 +256,11 @@ def _cmd_oeis(args) -> int:
 
 def _cmd_cache(args) -> int:
     if args.action == "build":
-        table = tables.build_cache(
-            args.path, max_n=args.max_n, max_m=args.max_m, budget=args.budget
-        )
+        table = tables.build_cache(args.path, max_n=args.max_n, max_m=args.max_m)
         print(f"wrote {len(table.entries)} entries to {args.path}")
         return 0
     if args.action == "check":
-        checked = tables.check_cache(args.path, sample_n=args.sample, budget=args.budget)
+        checked = tables.check_cache(args.path)
         print(f"checked {checked} entries: coherent")
         return 0
     removed = tables.clear_cache(args.path)
@@ -287,7 +284,12 @@ def main(argv: list[str] | None = None) -> int:
         "cache": _cmd_cache,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed stdout must surface here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader stopped reading (e.g. `| head`): a quiet success
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except FlatstirError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

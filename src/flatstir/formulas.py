@@ -118,6 +118,35 @@ def flat3_conjecture(n: int) -> int:
     return 2 * first + 2 * second + third
 
 
+def run_distribution(n: int) -> dict[int, int]:
+    """Flattened doubled words of order n by run count k, nonzero counts only.
+
+    The run count is a block statistic of the type B partition of
+    [-(n-1), n-1] (``run_count_from_partition``).  A block of s magnitudes
+    has C(s-1, p-1) sign patterns with p positives, so its run polynomial
+    is w_1 = 1, w_s = 2x + (2^(s-1) - 2)x^2; by the exponential formula the
+    blocks on M magnitudes sum to B(M) = sum_s C(M-1, s-1) w_s B(M-s), and
+    the zero-block adds sum_i C(n-1, i) x^(1 + [i > 0]) B(n-1-i).
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    t = n - 1
+    blocks = [[1]]  # blocks[M][d]: partitions of M magnitudes whose blocks add d runs
+    for big_m in range(1, t + 1):
+        acc = [0] * (big_m + 1)
+        for s in range(1, big_m + 1):
+            ways = comb(big_m - 1, s - 1)
+            for e, weight in enumerate([1] if s == 1 else [0, 2, 2 ** (s - 1) - 2]):
+                for d, count in enumerate(blocks[big_m - s]):
+                    acc[d + e] += ways * weight * count
+        blocks.append(acc)
+    total = [0] * (t + 2)
+    for i in range(t + 1):
+        for d, count in enumerate(blocks[t - i]):
+            total[d + 1 + (i > 0)] += comb(t, i) * count
+    return {k: count for k, count in enumerate(total) if count}
+
+
 def mstirling_count(n: int, m: int) -> int:
     """|Q_n^m| = prod_{i=0}^{n-1} (i*m + 1); reduces to (2n-1)!! at m = 2."""
     if n < 0:

@@ -5,8 +5,11 @@ provenance of that number:
 
 * ``formula``     -- closed form or recurrence,
 * ``enumeration`` -- exhaustive generation (filter or partition images),
-* ``cached``      -- carried over from an earlier file without being
-  re-derived in the producing run.
+* ``cached``      -- read from an earlier file: a parsed CSV, or a cache
+  entry outside the range of the build that carried it over.
+
+The count cache derives every entry by formula, and re-derives every
+entry it reads (``_derive_entry``).
 
 Kinds: ``stirling`` (|Q_n^m|), ``flat`` (flattened doubled words),
 ``flat_k`` (flattened doubled words with k runs), ``typeb`` (partition
@@ -28,11 +31,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable
 
 from .bijection import iter_flattened_letters
 from .errors import DEFAULT_BUDGET, CacheCoherenceError, TableFormatError, check_budget
-from .formulas import dowling, flatm_recurrence, max_runs, mstirling_count
+from .formulas import dowling, flatm_recurrence, max_runs, mstirling_count, run_distribution
 from .words import count_stirling_stats, run_starts
 
 KINDS = ("stirling", "flat", "flat_k", "typeb", "mstirling_flat")
@@ -142,94 +145,86 @@ def mstirling_table(
 
 # ---------------------------------------------------------------- CSV forms
 
+# One CSV column after ``n``: its header cell and the (kind, m, k) of its counts.
+Column = tuple[str, str, int | None, int | None]
+
+
+def _table1_columns(k_max: int) -> list[Column]:
+    return [("|Q_n|", "stirling", 2, None), ("|flat|", "flat", 2, None)] + [
+        (f"k={k}", "flat_k", 2, k) for k in range(1, k_max + 1)
+    ]
+
+
+def _table2_columns(m_max: int) -> list[Column]:
+    return [(f"m={m}", "mstirling_flat", m, None) for m in range(2, m_max + 1)]
+
+
+def _to_csv(table: CountTable, n_max: int, columns: list[Column]) -> str:
+    rows = [["n"] + [c[0] for c in columns]]
+    for n in range(1, n_max + 1):
+        rows.append([str(n)] + [str(table.get(kind, n, m, k) or 0) for _, kind, m, k in columns])
+    return "".join(",".join(row) + "\n" for row in rows)
+
 
 def table1_csv(table: CountTable, n_max: int, k_max: int | None = None) -> str:
     """Run-count table as CSV; cells beyond the maximal run count are 0."""
     if k_max is None:
         k_max = max_runs(n_max)
-    header = "n,|Q_n|,|flat|," + ",".join(f"k={k}" for k in range(1, k_max + 1))
-    lines = [header]
-    for n in range(1, n_max + 1):
-        cells = [
-            str(n),
-            str(table.get("stirling", n, 2) or 0),
-            str(table.get("flat", n, 2) or 0),
-        ]
-        cells += [str(table.get("flat_k", n, 2, k) or 0) for k in range(1, k_max + 1)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def _csv_lines(text: str) -> list[str]:
-    """The nonblank lines of CSV text, header first; empty text is an error."""
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines:
-        raise TableFormatError("empty CSV")
-    return lines
-
-
-def _int_rows(lines: list[str], width: int) -> Iterator[list[int]]:
-    """The data rows after the header as integers; each must have ``width`` cells."""
-    for row_no, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise TableFormatError(f"row {row_no}: expected {width} cells")
-        try:
-            values = [int(c) for c in cells]
-        except ValueError:
-            raise TableFormatError(f"row {row_no}: non-integer cell") from None
-        yield values
-
-
-def parse_table1_csv(text: str) -> tuple[CountTable, int, int]:
-    """Inverse of ``table1_csv``; returns (table, n_max, k_max)."""
-    lines = _csv_lines(text)
-    header = lines[0].split(",")
-    if header[:3] != ["n", "|Q_n|", "|flat|"]:
-        raise TableFormatError(f"unexpected header {lines[0]!r}")
-    k_max = len(header) - 3
-    if [h for h in header[3:]] != [f"k={k}" for k in range(1, k_max + 1)]:
-        raise TableFormatError(f"unexpected run-count columns in header {lines[0]!r}")
-    table = CountTable()
-    n_max = 0
-    for values in _int_rows(lines, len(header)):
-        n = values[0]
-        n_max = max(n_max, n)
-        table.put("stirling", n, 2, None, values[1], "cached")
-        table.put("flat", n, 2, None, values[2], "cached")
-        for k, cnt in enumerate(values[3:], start=1):
-            if cnt:
-                table.put("flat_k", n, 2, k, cnt, "cached")
-    return table, n_max, k_max
+    return _to_csv(table, n_max, _table1_columns(k_max))
 
 
 def table2_csv(table: CountTable, n_max: int, m_max: int = 5) -> str:
     """m-fold flattened-count table as CSV with header ``n,m=2,...``."""
-    header = "n," + ",".join(f"m={m}" for m in range(2, m_max + 1))
-    lines = [header]
-    for n in range(1, n_max + 1):
-        cells = [str(n)] + [
-            str(table.get("mstirling_flat", n, m) or 0) for m in range(2, m_max + 1)
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _to_csv(table, n_max, _table2_columns(m_max))
+
+
+def _from_csv(
+    text: str, columns_for: Callable[[int], list[Column]], fixed: int, mismatch: str
+) -> tuple[CountTable, int, int]:
+    """Inverse of ``_to_csv``; returns (table, n_max, header width).
+
+    The header must name ``columns_for(width)``: a mismatch in its first
+    ``fixed`` cells is an unexpected header, one in the rest ``mismatch``.
+    Run-count cells (columns with a k) are stored only when nonzero.
+    """
+    lines = [ln for ln in text.split("\n") if ln]
+    if not lines:
+        raise TableFormatError("empty CSV")
+    header = lines[0].split(",")
+    columns = columns_for(len(header))
+    expected = ["n"] + [c[0] for c in columns]
+    if header[:fixed] != expected[:fixed]:
+        raise TableFormatError(f"unexpected header {lines[0]!r}")
+    if header != expected:
+        raise TableFormatError(f"{mismatch} {lines[0]!r}")
+    table = CountTable()
+    n_max = 0
+    for row_no, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise TableFormatError(f"row {row_no}: expected {len(header)} cells")
+        try:
+            n, *counts = map(int, cells)
+        except ValueError:
+            raise TableFormatError(f"row {row_no}: non-integer cell") from None
+        n_max = max(n_max, n)
+        for (_, kind, m, k), count in zip(columns, counts):
+            if count or k is None:
+                table.put(kind, n, m, k, count, "cached")
+    return table, n_max, len(header)
+
+
+def parse_table1_csv(text: str) -> tuple[CountTable, int, int]:
+    """Inverse of ``table1_csv``; returns (table, n_max, k_max)."""
+    table, n_max, width = _from_csv(
+        text, lambda width: _table1_columns(width - 3), 3, "unexpected run-count columns in header"
+    )
+    return table, n_max, width - 3
 
 
 def parse_table2_csv(text: str) -> tuple[CountTable, int, int]:
     """Inverse of ``table2_csv``; returns (table, n_max, m_max)."""
-    lines = _csv_lines(text)
-    header = lines[0].split(",")
-    if header[0] != "n" or header[1:] != [f"m={m}" for m in range(2, len(header) + 1)]:
-        raise TableFormatError(f"unexpected header {lines[0]!r}")
-    m_max = len(header)
-    table = CountTable()
-    n_max = 0
-    for values in _int_rows(lines, len(header)):
-        n = values[0]
-        n_max = max(n_max, n)
-        for m, cnt in enumerate(values[1:], start=2):
-            table.put("mstirling_flat", n, m, None, cnt, "cached")
-    return table, n_max, m_max
+    return _from_csv(text, _table2_columns, 1, "unexpected header")
 
 
 # --------------------------------------------------------------- JSON form
@@ -268,7 +263,8 @@ def table_from_json(text: str) -> CountTable:
             raise TableFormatError(f"entry {i}: missing field {exc}") from None
         if not isinstance(count_text, str) or not count_text.isdigit():
             raise TableFormatError(f"entry {i}: count must be a decimal string")
-        if not isinstance(n, int) or not all(v is None or isinstance(v, int) for v in (m, k)):
+        # JSON true/false are not orders: bool is a subclass of int, so test the type
+        if type(n) is not int or not all(v is None or type(v) is int for v in (m, k)):
             raise TableFormatError(f"entry {i}: n/m/k must be integers (m, k may be null)")
         key = (kind, n, m, k)
         if key in table.entries:
@@ -283,102 +279,70 @@ def table_from_json(text: str) -> CountTable:
 # ------------------------------------------------------------------- cache
 
 
-def _derive_entry(key: Key, budget: int, row_cache: dict) -> int | None:
-    """Recompute one entry from scratch; None when no derivation is wired up."""
+def _derive_entry(key: Key) -> int:
+    """Recompute one entry by its formula; a key outside its kind's domain is a format error."""
     kind, n, m, k = key
-    if kind == "typeb":
+    if kind == "typeb" and n >= 0 and m is None and k is None:
         return dowling(n)
-    if kind == "stirling":
+    if kind == "stirling" and n >= 0 and m is not None and m >= 1 and k is None:
         return mstirling_count(n, m)
-    if kind == "flat":
+    if kind == "flat" and n >= 1 and m == 2 and k is None:
         return dowling(n - 1)
-    if kind == "mstirling_flat":
+    if kind == "mstirling_flat" and n >= 0 and m is not None and m >= 2 and k is None:
         return flatm_recurrence(n, m)
-    if kind == "flat_k":
-        if n not in row_cache:
-            row_cache[n] = count_runs_via_bijection(n, budget=budget)
-        return row_cache[n].get(k, 0)
-    return None
+    if kind == "flat_k" and n >= 1 and m == 2 and k is not None and k >= 1:
+        return run_distribution(n).get(k, 0)
+    raise TableFormatError(f"cache entry {key} is outside the domain of {kind!r}")
 
 
-def build_cache(
-    path: str, max_n: int = 10, max_m: int = 5, budget: int = DEFAULT_BUDGET
-) -> CountTable:
-    """Populate the count cache and write it to ``path``.
+def build_cache(path: str, max_n: int = 10, max_m: int = 5) -> CountTable:
+    """Derive every count in range by formula and write the cache to ``path``.
 
-    If the file already exists its entries are kept: values that the
-    fresh derivation also produces must agree (a contradiction fails
-    loudly), and old entries outside the fresh range are carried over
+    Orders run to ``max_n``, multiplicities to ``max_m`` and run counts k
+    to ``max_runs(n)``, whose counts are all nonzero.  An existing file is
+    loaded first, which re-derives each of its entries (a contradiction
+    fails loudly); its entries outside the fresh range are carried over
     with provenance ``cached``.
     """
-    fresh = CountTable()
-    for n in range(0, max_n + 1):
-        fresh.put("typeb", n, None, None, dowling(n), "formula")
+    keys = [("typeb", n, None, None) for n in range(max_n + 1)]
     for n in range(1, max_n + 1):
-        fresh.put("flat", n, 2, None, dowling(n - 1), "formula")
+        keys.append(("flat", n, 2, None))
         for m in range(2, max_m + 1):
-            fresh.put("stirling", n, m, None, mstirling_count(n, m), "formula")
-            fresh.put("mstirling_flat", n, m, None, flatm_recurrence(n, m), "formula")
-    for n in range(1, max_n + 1):
-        if dowling(n - 1) > budget:
-            break
-        for k, cnt in sorted(count_runs_via_bijection(n, budget=budget).items()):
-            fresh.put("flat_k", n, 2, k, cnt, "enumeration")
-
+            keys += [("stirling", n, m, None), ("mstirling_flat", n, m, None)]
+        keys += [("flat_k", n, 2, k) for k in range(1, max_runs(n) + 1)]
+    fresh = CountTable()
+    for key in keys:
+        fresh.put(*key, _derive_entry(key), "formula")
     if os.path.exists(path):
-        old = load_cache(path)
-        for key, (count, provenance) in old.entries.items():
-            if key in fresh.entries:
-                if fresh.entries[key][0] != count:
-                    raise CacheCoherenceError(key, count, fresh.entries[key][0])
-            else:
-                fresh.entries[key] = (count, "cached")
+        for key, (count, _provenance) in load_cache(path).entries.items():
+            fresh.entries.setdefault(key, (count, "cached"))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(table_to_json(fresh))
     return fresh
 
 
-def load_cache(path: str, verify_formulas: bool = True) -> CountTable:
-    """Read a cache file; formula-derivable entries are re-derived and must agree."""
+def load_cache(path: str) -> CountTable:
+    """Read a cache file; every entry is re-derived by formula and must agree.
+
+    The first contradiction raises CacheCoherenceError naming the entry.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise TableFormatError(f"{path} is not UTF-8 text ({exc.reason})") from None
     table = table_from_json(text)
-    if verify_formulas:
-        for key, (count, _prov) in sorted(table.entries.items()):
-            kind = key[0]
-            if kind == "flat_k":
-                continue  # enumeration-backed; verified by check_cache
-            derived = _derive_entry(key, budget=0, row_cache={})
-            if derived is not None and derived != count:
-                raise CacheCoherenceError(key, count, derived)
+    for key in table.sorted_keys():
+        count = table.entries[key][0]
+        derived = _derive_entry(key)
+        if derived != count:
+            raise CacheCoherenceError(key, count, derived)
     return table
 
 
-def check_cache(path: str, sample_n: int = 8, budget: int = DEFAULT_BUDGET) -> int:
-    """Recompute cached entries and compare; returns the number checked.
-
-    Formula-backed entries are all recomputed; enumeration-backed
-    (flat_k) entries are recomputed for n up to ``sample_n``.  The first
-    contradiction raises CacheCoherenceError naming the entry.
-    """
-    table = load_cache(path, verify_formulas=False)
-    row_cache: dict[int, dict[int, int]] = {}
-    checked = 0
-    for key in table.sorted_keys():
-        kind, n, _m, _k = key
-        if kind == "flat_k" and n > sample_n:
-            continue
-        derived = _derive_entry(key, budget=budget, row_cache=row_cache)
-        if derived is None:
-            continue
-        count = table.entries[key][0]
-        if derived != count:
-            raise CacheCoherenceError(key, count, derived)
-        checked += 1
-    return checked
+def check_cache(path: str) -> int:
+    """Re-derive every cached entry (see ``load_cache``); returns the number checked."""
+    return len(load_cache(path).entries)
 
 
 def clear_cache(path: str) -> bool:

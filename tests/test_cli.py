@@ -189,8 +189,7 @@ class TestCache:
         code, out, _ = run_cli(capsys, "cache", "build", "--path", path,
                                "--max-n", "5")
         assert code == 0 and "entries" in out
-        code, out, _ = run_cli(capsys, "cache", "check", "--path", path,
-                               "--sample", "5")
+        code, out, _ = run_cli(capsys, "cache", "check", "--path", path)
         assert code == 0 and "coherent" in out
         code, out, _ = run_cli(capsys, "cache", "clear", "--path", path)
         assert code == 0 and "removed" in out
@@ -205,9 +204,21 @@ class TestCache:
             if entry["kind"] == "flat" and entry["n"] == 4:
                 entry["count"] = "23"
         open(path, "w").write(json.dumps(doc))
-        code, _, err = run_cli(capsys, "cache", "check", "--path", path,
-                               "--sample", "4")
+        code, _, err = run_cli(capsys, "cache", "check", "--path", path)
         assert code == 1 and "flat" in err
+
+    def test_default_check_covers_the_default_build(self, capsys, tmp_path):
+        """A changed flat_k row of the largest default order fails the default check."""
+        path = str(tmp_path / "cache.json")
+        run_cli(capsys, "cache", "build", "--path", path)
+        doc = json.loads(open(path).read())
+        for entry in doc["entries"]:
+            if entry["kind"] == "flat_k" and entry["n"] == 10 and entry["k"] == 3:
+                entry["count"] = str(int(entry["count"]) + 1)
+        open(path, "w").write(json.dumps(doc))
+        code, out, err = run_cli(capsys, "cache", "check", "--path", path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: cache entry ('flat_k', 10, 2, 3) holds 69843 ")
 
     def test_check_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "cache", "check", "--path",
@@ -324,6 +335,46 @@ def test_unusable_path_exits_2_without_traceback(argv, tmp_path):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
     assert binary.read_bytes() == b"\xff\xfe1 1\n"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"kind": "typeb", "n": -1, "m": None, "k": None},
+        {"kind": "flat_k", "n": 0, "m": 2, "k": 1},
+        {"kind": "stirling", "n": 3, "m": None, "k": None},
+    ],
+    ids=lambda entry: f"{entry['kind']} n={entry['n']} m={entry['m']}",
+)
+@pytest.mark.parametrize("action", ["check", "build"])
+def test_out_of_domain_cache_entry_exits_2_without_traceback(entry, action, tmp_path):
+    path = tmp_path / "cache.json"
+    text = json.dumps({"version": 1, "entries": [dict(entry, count="1", provenance="formula")]})
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatstir.cli", "cache", action, "--path", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cache entry ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    assert path.read_text() == text
+
+
+def test_closed_stdout_exits_0_quietly():
+    """A reader that stops early (``| head -1``) is not an error."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flatstir.cli", "gen", "typeb", "--n", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"0 | 1 2 3 4 5 6 7\n"
+    proc.stdout.close()  # about 700 kB remain unwritten, far more than a pipe holds
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

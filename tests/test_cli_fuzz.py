@@ -3,18 +3,19 @@
 Values are kept small (orders up to 5, no --max-n left at a large
 default) so every example runs in well under a second and no scan is big
 enough to start a process pool.  File arguments (``--output``,
-``--bfile``, ``cache --path``) are drawn as a missing path, a directory
-or a file of arbitrary bytes.
+``--bfile``, ``cache --path``) are drawn as a missing path, a directory,
+a file of arbitrary bytes or a small version-1 count-table document.
 """
 
 import contextlib
 import io
+import json
 import os
 import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from flatstir import oeis, verify
+from flatstir import oeis, tables, verify
 from flatstir.cli import main
 
 SMALL = st.integers(min_value=-2, max_value=5)
@@ -79,8 +80,6 @@ CACHE = st.sampled_from(["build", "check", "clear"]).flatmap(
         ["cache", action, "--path", "{cache}"],
         required("--max-n", SMALL),
         optional("--max-m", SMALL),
-        optional("--sample", SMALL),
-        optional("--budget", BUDGET),
     )
 )
 COMMANDS = st.one_of(GEN, MAP, TABLE, VERIFY, OEIS, CACHE)
@@ -96,9 +95,25 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+# a small version-1 count-table document, its keys in or out of their kind's domain
+ENTRY = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(tables.KINDS),
+        "n": st.integers(min_value=-2, max_value=12),
+        "m": st.one_of(st.none(), st.integers(min_value=-1, max_value=6)),
+        "k": st.one_of(st.none(), st.integers(min_value=-1, max_value=9)),
+        "count": st.integers(min_value=0, max_value=30).map(str),
+        "provenance": st.sampled_from(tables.PROVENANCES),
+    }
+)
+DOCUMENTS = st.lists(ENTRY, max_size=4).map(
+    lambda entries: json.dumps({"version": 1, "entries": entries}).encode()
+)
 # a path argument: missing (with or without its parent), a directory, or a file's bytes
 PATHS = st.one_of(
-    st.sampled_from(["absent.txt", "absent/file.txt", "directory"]), st.binary(max_size=48)
+    st.sampled_from(["absent.txt", "absent/file.txt", "directory"]),
+    st.binary(max_size=48),
+    DOCUMENTS,
 )
 FILE_COMMANDS = st.one_of(
     command(
@@ -113,7 +128,6 @@ FILE_COMMANDS = st.one_of(
         lambda action: command(
             ["cache", action, "--path", "{path}"],
             required("--max-n", SMALL),
-            optional("--sample", SMALL),
         )
     ),
 )
@@ -151,3 +165,14 @@ def test_cli_file_arguments_are_total(argv, drawn):
         code, err = run(argv)
         assert code in (0, 1, 2, 3, 4), (argv, code, err)
         assert "Traceback" not in err, (argv, err)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["build", "check"]), DOCUMENTS, SMALL)
+def test_cli_cache_documents_are_total(action, document, max_n):
+    """Every cache document, its keys in or out of domain, ends in one exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = materialize(tmp, document)
+        code, err = run(["cache", action, "--path", path, "--max-n", str(max_n)])
+        assert code in (0, 1, 2), (document, code, err)
+        assert "Traceback" not in err, (document, err)

@@ -20,9 +20,11 @@ from flatstir.formulas import (
     flatm_series,
     max_runs,
     mstirling_count,
+    run_distribution,
     stirling2,
 )
 from flatstir.reference import TABLE1, TABLE2
+from flatstir.words import count_stirling_stats
 
 
 def brute_set_partitions(items):
@@ -173,7 +175,30 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         max_runs(0)
     with pytest.raises(ValueError):
+        run_distribution(0)
+    with pytest.raises(ValueError):
         flatm_recurrence(3, 1)
     with pytest.raises(ValueError):
         flatm_series(3, 1)
     assert isinstance(SeriesPrecisionError("x"), Exception)
+
+
+def test_run_distribution_equals_both_enumerations(bijection_runs, filter_stats):
+    """The recurrence against partition images (n <= 10), the brute-force scan
+    (n <= 8), the pruned walk at order 9 and the frozen Table 1."""
+    for n in range(1, 11):
+        assert run_distribution(n) == bijection_runs[n] == TABLE1[n][2]
+    for n in range(1, 9):
+        assert run_distribution(n) == filter_stats[n].flat_by_runs
+    assert run_distribution(9) == count_stirling_stats(9, 2).flat_by_runs
+
+
+def test_run_distribution_identities_to_order_60():
+    """Row sum dowling(n-1), every k from 1 to max_runs(n) present, and the
+    two- and three-run columns of the recurrence and the conjecture."""
+    for n in range(1, 61):
+        by_runs = run_distribution(n)
+        assert sum(by_runs.values()) == dowling(n - 1)
+        assert sorted(by_runs) == list(range(1, max_runs(n) + 1))
+        assert by_runs.get(2, 0) == flat2_recurrence(n)
+        assert by_runs.get(3, 0) == flat3_conjecture(n)

@@ -139,6 +139,8 @@ class TestJson:
             lambda d: d["entries"][0].update(kind="weird"),
             lambda d: d["entries"][0].update(provenance="guessed"),
             lambda d: d["entries"][0].pop("kind"),
+            lambda d: d["entries"][0].update(n=True),
+            lambda d: d["entries"][0].update(m=False),
         ],
     )
     def test_malformed_documents(self, mutate):
@@ -158,7 +160,7 @@ class TestCache:
         table = build_cache(path, max_n=5, max_m=3)
         assert table.get("typeb", 4) == 116
         assert table.get("flat_k", 5, 2, 3) == 70
-        assert check_cache(path, sample_n=5) > 0
+        assert check_cache(path) == len(table.entries)
 
     def test_tampered_value_is_named(self, tmp_path):
         path = str(tmp_path / "counts.json")
@@ -169,7 +171,50 @@ class TestCache:
                 entry["count"] = "9999"
         open(path, "w").write(json.dumps(doc))
         with pytest.raises(CacheCoherenceError, match=r"flat_k.*4"):
-            check_cache(path, sample_n=4)
+            check_cache(path)
+
+    def test_tampered_flat_k_of_the_largest_order_is_named(self, tmp_path):
+        """check re-derives every flat_k row, not only the small orders."""
+        path = str(tmp_path / "counts.json")
+        build_cache(path, max_n=9, max_m=2)
+        doc = json.loads(open(path).read())
+        for entry in doc["entries"]:
+            if entry["kind"] == "flat_k" and entry["n"] == 9 and entry["k"] == 3:
+                entry["count"] = str(int(entry["count"]) + 1)
+        open(path, "w").write(json.dumps(doc))
+        named = r"\('flat_k', 9, 2, 3\) holds 20995 but re-derivation gives 20994"
+        with pytest.raises(CacheCoherenceError, match=named):
+            check_cache(path)
+
+    def test_every_built_entry_is_a_formula(self, tmp_path):
+        path = str(tmp_path / "counts.json")
+        table = build_cache(path, max_n=7, max_m=3)
+        assert {prov for _, prov in table.entries.values()} == {"formula"}
+        for n in range(1, 8):
+            row = {k: c for (kind, nn, _, k), (c, _) in table.entries.items()
+                   if kind == "flat_k" and nn == n}
+            assert row == TABLE1[n][2]
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"kind": "typeb", "n": -1, "m": None, "k": None},
+            {"kind": "flat_k", "n": 0, "m": 2, "k": 1},
+            {"kind": "flat_k", "n": 3, "m": 3, "k": 1},
+            {"kind": "flat_k", "n": 3, "m": 2, "k": None},
+            {"kind": "stirling", "n": 3, "m": None, "k": None},
+            {"kind": "flat", "n": 3, "m": 2, "k": 1},
+            {"kind": "mstirling_flat", "n": 3, "m": 1, "k": None},
+        ],
+    )
+    def test_out_of_domain_entry_is_a_format_error(self, tmp_path, entry):
+        path = str(tmp_path / "counts.json")
+        doc = {"version": 1, "entries": [dict(entry, count="1", provenance="formula")]}
+        open(path, "w").write(json.dumps(doc))
+        with pytest.raises(TableFormatError, match="outside the domain"):
+            check_cache(path)
+        with pytest.raises(TableFormatError, match="outside the domain"):
+            build_cache(path, max_n=2, max_m=2)
 
     def test_tampered_formula_value_fails_on_load(self, tmp_path):
         path = str(tmp_path / "counts.json")
