@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import bijection, oeis, tables, typeb, verify, words
-from .errors import FlatstirError
+from .errors import FlatstirError, check_budget
 from .formulas import max_runs
 from .words import DEFAULT_BUDGET
 
@@ -92,12 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sequence id (e.g. A007405) or generator name "
         f"({', '.join(sorted(oeis.GENERATORS))})",
     )
-    p_oeis.add_argument(
-        "--generator",
-        choices=sorted(oeis.GENERATORS),
-        default=None,
-        help="explicit generator (required only if the id is ambiguous)",
-    )
     p_oeis.add_argument("--bfile", default=None, help="b-file path (default: bundled fixture)")
     p_oeis.add_argument("--max-terms", type=int, default=None)
 
@@ -115,9 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
 # check that examines nothing.
 _MINIMUMS = {
     "gen": {"n": 0, "m": 1},
-    "table": {"max_n": 1, "threads": 1},
+    "table": {"max_n": 1, "max_m": 2, "threads": 1},
     "verify": {"max_n": 1, "threads": 1},
     "oeis": {"max_terms": 1},
+    "cache": {"max_m": 2},
 }
 
 
@@ -169,12 +164,19 @@ def _cmd_map(args) -> int:
     return 0
 
 
+def _check_table_size(args, columns: int) -> None:
+    """Budget guard on the cells of the requested table, before any is counted."""
+    cells = args.max_n * columns
+    check_budget(cells, args.budget, f"a table of {args.max_n} rows and {columns} columns")
+
+
 def _cmd_table(args) -> int:
     if args.mstirling:
         mode = args.mode or "formula"
         if mode == "bijection":
             print("the m-fold table supports --mode filter or formula", file=sys.stderr)
             return 2
+        _check_table_size(args, args.max_m - 1)
         table = tables.mstirling_table(
             args.max_n, args.max_m, mode=mode, budget=args.budget, workers=args.threads
         )
@@ -195,6 +197,7 @@ def _cmd_table(args) -> int:
                 file=sys.stderr,
             )
             return 2
+        _check_table_size(args, 2 + (args.max_k or max_runs(args.max_n)))
         table = tables.flat_k_table(args.max_n, mode=mode, budget=args.budget, workers=args.threads)
         text = (
             tables.table1_csv(table, args.max_n, args.max_k)
@@ -228,13 +231,6 @@ def _cmd_oeis(args) -> int:
             return 2
         generator = matches[0]
     spec = oeis.GENERATORS[generator]
-    if args.generator and args.generator != generator:
-        print(
-            f"{args.sequence} is registered against generator {generator}, "
-            f"not {args.generator}",
-            file=sys.stderr,
-        )
-        return 2
     if args.bfile:
         sequence = oeis.read_bfile(args.bfile, spec.sequence_id)
     else:

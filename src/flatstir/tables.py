@@ -3,13 +3,16 @@
 A ``CountTable`` maps (kind, n, m, k) to an exact count plus the
 provenance of that number:
 
-* ``formula``     -- closed form or recurrence,
-* ``enumeration`` -- exhaustive generation (filter or partition images),
+* ``formula``     -- closed form or recurrence; every |Q_n^m| entry
+  (kind ``stirling``) is one, in every table mode,
+* ``enumeration`` -- flattened words counted one by one (the pruned
+  filter walk or the partition images),
 * ``cached``      -- read from an earlier file: a parsed CSV, or a cache
   entry outside the range of the build that carried it over.
 
 The count cache derives every entry by formula, and re-derives every
-entry it reads (``_derive_entry``).
+entry it reads (``_derive_entries``), up to order ``CACHE_MAX_ORDER``
+and multiplicity ``CACHE_MAX_MULTIPLICITY``.
 
 Kinds: ``stirling`` (|Q_n^m|), ``flat`` (flattened doubled words),
 ``flat_k`` (flattened doubled words with k runs), ``typeb`` (partition
@@ -31,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .bijection import iter_flattened_letters
 from .errors import DEFAULT_BUDGET, CacheCoherenceError, TableFormatError, check_budget
@@ -92,28 +95,24 @@ def flat_k_table(
 ) -> CountTable:
     """Fill |Q_n|, |flat|, and the flat_k distribution for 1 <= n <= n_max.
 
-    ``filter`` walks the insertion tree pruned to flattened words (the
-    default budget caps |Q_n| at n = 9; order 9 takes under a second);
-    ``bijection`` enumerates the flattened words through the partition
-    correspondence (feasible to about n = 11).  In bijection mode the
-    |Q_n| column comes from the product formula.
+    Only the run distribution comes from ``mode``: ``filter`` walks the
+    insertion tree pruned to flattened words (the default budget caps
+    |Q_n| at n = 9; order 9 takes under a second), ``bijection``
+    enumerates the flattened words through the partition correspondence
+    (feasible to about n = 11).  The |Q_n| column is the product formula.
     """
     table = CountTable()
     for n in range(1, n_max + 1):
         if mode == "filter":
-            stats = count_stirling_stats(n, 2, budget=budget, workers=workers)
-            table.put("stirling", n, 2, None, stats.total, "enumeration")
-            table.put("flat", n, 2, None, stats.flat_total, "enumeration")
-            for k, cnt in sorted(stats.flat_by_runs.items()):
-                table.put("flat_k", n, 2, k, cnt, "enumeration")
+            by_runs = count_stirling_stats(n, 2, budget=budget, workers=workers).flat_by_runs
         elif mode == "bijection":
             by_runs = count_runs_via_bijection(n, budget=budget)
-            table.put("stirling", n, 2, None, mstirling_count(n, 2), "formula")
-            table.put("flat", n, 2, None, sum(by_runs.values()), "enumeration")
-            for k, cnt in sorted(by_runs.items()):
-                table.put("flat_k", n, 2, k, cnt, "enumeration")
         else:
             raise ValueError(f"unknown mode {mode!r} (expected 'filter' or 'bijection')")
+        table.put("stirling", n, 2, None, mstirling_count(n, 2), "formula")
+        table.put("flat", n, 2, None, sum(by_runs.values()), "enumeration")
+        for k, cnt in sorted(by_runs.items()):
+            table.put("flat_k", n, 2, k, cnt, "enumeration")
     return table
 
 
@@ -126,15 +125,15 @@ def mstirling_table(
 ) -> CountTable:
     """Fill flattened m-fold counts for 1 <= n <= n_max, 2 <= m <= m_max.
 
-    ``filter`` is the pruned insertion walk (also records the |Q_n^m| totals);
-    ``formula`` evaluates the recurrence.
+    ``filter`` is the pruned insertion walk (also records |Q_n^m| by its
+    product formula); ``formula`` evaluates the recurrence.
     """
     table = CountTable()
     for n in range(1, n_max + 1):
         for m in range(2, m_max + 1):
             if mode == "filter":
                 stats = count_stirling_stats(n, m, budget=budget, workers=workers)
-                table.put("stirling", n, m, None, stats.total, "enumeration")
+                table.put("stirling", n, m, None, mstirling_count(n, m), "formula")
                 table.put("mstirling_flat", n, m, None, stats.flat_total, "enumeration")
             elif mode == "formula":
                 table.put("mstirling_flat", n, m, None, flatm_recurrence(n, m), "formula")
@@ -279,31 +278,58 @@ def table_from_json(text: str) -> CountTable:
 # ------------------------------------------------------------------- cache
 
 
-def _derive_entry(key: Key) -> int:
-    """Recompute one entry by its formula; a key outside its kind's domain is a format error."""
-    kind, n, m, k = key
-    if kind == "typeb" and n >= 0 and m is None and k is None:
-        return dowling(n)
-    if kind == "stirling" and n >= 0 and m is not None and m >= 1 and k is None:
-        return mstirling_count(n, m)
-    if kind == "flat" and n >= 1 and m == 2 and k is None:
-        return dowling(n - 1)
-    if kind == "mstirling_flat" and n >= 0 and m is not None and m >= 2 and k is None:
-        return flatm_recurrence(n, m)
-    if kind == "flat_k" and n >= 1 and m == 2 and k is not None and k >= 1:
-        return run_distribution(n).get(k, 0)
-    raise TableFormatError(f"cache entry {key} is outside the domain of {kind!r}")
+# Largest order and multiplicity of a cache entry.  At order 200 the
+# slowest derivation, run_distribution, takes about a second.
+CACHE_MAX_ORDER = 200
+CACHE_MAX_MULTIPLICITY = 20
+
+
+def _derive_entries(keys: Iterable[Key]) -> Iterator[tuple[Key, int]]:
+    """Yield (key, its count by formula) for each key in turn.
+
+    Each order's run distribution is derived once, for all its ``flat_k``
+    keys.  A key outside its kind's domain, or above the cache bounds,
+    is a format error.
+    """
+    distributions: dict[int, dict[int, int]] = {}
+    for key in keys:
+        kind, n, m, k = key
+        if n > CACHE_MAX_ORDER or (m or 0) > CACHE_MAX_MULTIPLICITY:
+            raise TableFormatError(
+                f"cache entry {key} is above the largest cached order {CACHE_MAX_ORDER} "
+                f"or multiplicity {CACHE_MAX_MULTIPLICITY}"
+            )
+        if kind == "typeb" and n >= 0 and m is None and k is None:
+            yield key, dowling(n)
+        elif kind == "stirling" and n >= 0 and m is not None and m >= 1 and k is None:
+            yield key, mstirling_count(n, m)
+        elif kind == "flat" and n >= 1 and m == 2 and k is None:
+            yield key, dowling(n - 1)
+        elif kind == "mstirling_flat" and n >= 0 and m is not None and m >= 2 and k is None:
+            yield key, flatm_recurrence(n, m)
+        elif kind == "flat_k" and n >= 1 and m == 2 and k is not None and k >= 1:
+            if n not in distributions:
+                distributions[n] = run_distribution(n)
+            yield key, distributions[n].get(k, 0)
+        else:
+            raise TableFormatError(f"cache entry {key} is outside the domain of {kind!r}")
 
 
 def build_cache(path: str, max_n: int = 10, max_m: int = 5) -> CountTable:
     """Derive every count in range by formula and write the cache to ``path``.
 
     Orders run to ``max_n``, multiplicities to ``max_m`` and run counts k
-    to ``max_runs(n)``, whose counts are all nonzero.  An existing file is
-    loaded first, which re-derives each of its entries (a contradiction
-    fails loudly); its entries outside the fresh range are carried over
-    with provenance ``cached``.
+    to ``max_runs(n)``, whose counts are all nonzero; a range above the
+    cache bounds is a format error.  An existing file is loaded first,
+    which re-derives each of its entries (a contradiction fails loudly);
+    its entries outside the fresh range are carried over with provenance
+    ``cached``.
     """
+    if max_n > CACHE_MAX_ORDER or max_m > CACHE_MAX_MULTIPLICITY:
+        raise TableFormatError(
+            f"the cache holds orders up to {CACHE_MAX_ORDER} and multiplicities up to "
+            f"{CACHE_MAX_MULTIPLICITY}; asked for orders to {max_n} and multiplicities to {max_m}"
+        )
     keys = [("typeb", n, None, None) for n in range(max_n + 1)]
     for n in range(1, max_n + 1):
         keys.append(("flat", n, 2, None))
@@ -311,8 +337,8 @@ def build_cache(path: str, max_n: int = 10, max_m: int = 5) -> CountTable:
             keys += [("stirling", n, m, None), ("mstirling_flat", n, m, None)]
         keys += [("flat_k", n, 2, k) for k in range(1, max_runs(n) + 1)]
     fresh = CountTable()
-    for key in keys:
-        fresh.put(*key, _derive_entry(key), "formula")
+    for key, count in _derive_entries(keys):
+        fresh.put(*key, count, "formula")
     if os.path.exists(path):
         for key, (count, _provenance) in load_cache(path).entries.items():
             fresh.entries.setdefault(key, (count, "cached"))
@@ -332,9 +358,8 @@ def load_cache(path: str) -> CountTable:
         except UnicodeDecodeError as exc:
             raise TableFormatError(f"{path} is not UTF-8 text ({exc.reason})") from None
     table = table_from_json(text)
-    for key in table.sorted_keys():
+    for key, derived in _derive_entries(table.sorted_keys()):
         count = table.entries[key][0]
-        derived = _derive_entry(key)
         if derived != count:
             raise CacheCoherenceError(key, count, derived)
     return table

@@ -203,7 +203,7 @@ def generate_flattened_filter(
 ) -> Iterator[StirlingWord]:
     """The flattened subsequence of ``generate_stirling``, from the pruned walk."""
     _check_budget(n, m, budget)
-    for letters, _ in _walk_flat((), 0, n, m, _subtree_sizes(n, m), StirlingStats(n, m)):
+    for letters, _ in _walk_flat((), 0, n, m, StirlingStats(n, m)):
         yield StirlingWord(letters, m)
 
 
@@ -211,8 +211,10 @@ def generate_flattened_filter(
 class StirlingStats:
     """Exact counts for one (n, m): total words, flattened words, flat-by-run-count.
 
-    ``visited`` is the number of children the pruned walk tried, flattened
-    or not (0 for the brute-force scan, which visits all ``total`` words).
+    ``total`` is |Q_n^m| from the product formula (the budget projection);
+    the walk never counts the words it prunes.  ``flat_total`` and
+    ``flat_by_runs`` count the flattened words the walk finds, and
+    ``visited`` the children it tried, flattened or not.
     """
 
     order: int
@@ -228,55 +230,6 @@ class StirlingStats:
         self.visited += other.visited
         for k, v in other.flat_by_runs.items():
             self.flat_by_runs[k] = self.flat_by_runs.get(k, 0) + v
-
-
-def _scan_into(stats: StirlingStats, word: tuple[int, ...]) -> None:
-    stats.total += 1
-    if not word:
-        stats.flat_total += 1
-        stats.flat_by_runs[0] = stats.flat_by_runs.get(0, 0) + 1
-        return
-    runs = 1
-    lead = prev = word[0]
-    for x in word[1:]:
-        if x < prev:
-            if x < lead:
-                return
-            runs += 1
-            lead = x
-        prev = x
-    stats.flat_total += 1
-    stats.flat_by_runs[runs] = stats.flat_by_runs.get(runs, 0) + 1
-
-
-def _stats_subtree(prefix: tuple[int, ...], v: int, n: int, m: int) -> StirlingStats:
-    stats = StirlingStats(n, m)
-    for word in _iter_letters_from(prefix, v, n, m):
-        _scan_into(stats, word)
-    return stats
-
-
-def scan_stirling_stats(
-    n: int, m: int = 2, budget: int = DEFAULT_BUDGET, workers: int = 1
-) -> StirlingStats:
-    """Brute-force reference for ``count_stirling_stats``: scan all of Q_n^m.
-
-    The insertion tree is split at order ``SPLIT_ORDER`` and the counts
-    below each prefix are summed (an associative reduction, which cannot
-    change the result); with ``workers`` > 1 the prefixes go to a pool.
-    """
-    _check_budget(n, m, budget)
-    split = min(n, SPLIT_ORDER)
-    jobs = [(prefix, split + 1, n, m) for prefix in _iter_letters_from((), 1, split, m)]
-    return _sum_tasks(StirlingStats(n, m), _stats_subtree, jobs, workers)
-
-
-def _subtree_sizes(n: int, m: int) -> list[int]:
-    """Entry v: order-n words below a word of order v, prod_{u=v+1..n} ((u-1)*m + 1)."""
-    sizes = [1] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        sizes[v] = sizes[v + 1] * (v * m + 1)
-    return sizes
 
 
 def _flat_gaps(word: tuple[int, ...], runs: int) -> list[tuple[int, int]]:
@@ -301,35 +254,30 @@ def _flat_gaps(word: tuple[int, ...], runs: int) -> list[tuple[int, int]]:
 
 
 def _walk_flat(
-    word: tuple[int, ...], runs: int, stop: int, m: int, below: list[int], stats: StirlingStats
+    word: tuple[int, ...], runs: int, stop: int, m: int, stats: StirlingStats
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (letters, runs) for each flattened descendant of ``word`` of order ``stop``.
 
     ``word`` is flattened with ``runs`` runs; descendants come in insertion
-    order.  Each child tried adds 1 to ``stats.visited``, and a pruned
-    child built at order v adds its ``below[v]`` descendants of the final
-    order to ``stats.total``.
+    order.  Each child tried adds 1 to ``stats.visited``.
     """
     v = len(word) // m + 1
     if v > stop:
         yield word, runs
         return
-    gaps = _flat_gaps(word, runs)
     stats.visited += len(word) + 1
-    stats.total += (len(word) + 1 - len(gaps)) * below[v]
     block = (v,) * m
-    for gap, child_runs in gaps:
-        yield from _walk_flat(word[:gap] + block + word[gap:], child_runs, stop, m, below, stats)
+    for gap, child_runs in _flat_gaps(word, runs):
+        yield from _walk_flat(word[:gap] + block + word[gap:], child_runs, stop, m, stats)
 
 
 def _walk_stats(prefix: tuple[int, ...], runs: int, n: int, m: int) -> StirlingStats:
     """Pruned-walk counts for the order-n descendants of the flattened ``prefix``."""
     stats = StirlingStats(n, m)
     by_runs = stats.flat_by_runs
-    for _, k in _walk_flat(prefix, runs, n, m, _subtree_sizes(n, m), stats):
+    for _, k in _walk_flat(prefix, runs, n, m, stats):
         stats.flat_total += 1
         by_runs[k] = by_runs.get(k, 0) + 1
-    stats.total += stats.flat_total
     return stats
 
 
@@ -345,31 +293,13 @@ def pool_size(threads: int, tasks: int, cpus: int) -> int:
     return min(threads, tasks, cpus)
 
 
-def _sum_tasks(stats: StirlingStats, task, jobs: list[tuple], threads: int) -> StirlingStats:
-    """Merge ``task(*job)`` for every job into ``stats``.
-
-    With ``threads`` > 1 the jobs run in one process pool of ``pool_size``
-    workers, otherwise serially in this process.
-    """
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=pool_size(threads, len(jobs), _cpu_count())) as pool:
-            futures = [pool.submit(task, *job) for job in jobs]
-            parts = [fut.result() for fut in futures]
-    else:
-        parts = [task(*job) for job in jobs]
-    for part in parts:
-        stats.merge(part)
-    return stats
-
-
 def count_stirling_stats(
     n: int, m: int = 2, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> StirlingStats:
-    """Count all of Q_n^m, its flattened words, and those by run count.
+    """|Q_n^m| by formula; its flattened words, and those by run count, by the pruned walk.
 
-    The pruned walk visits only flattened words and their children; each
-    pruned child adds its exact subtree size, so ``total`` is still
-    |Q_n^m|, and the budget still caps |Q_n^m|.  The walk splits at order
+    The walk visits only flattened words and their children.  The budget
+    caps |Q_n^m|, which is also ``total``.  The walk splits at order
     ``SPLIT_ORDER`` and sums the counts below each flattened prefix there
     (an associative reduction, so the split cannot change the result).
     The prefixes go to a process pool when ``workers`` > 1 and |Q_n^m| is
@@ -377,10 +307,18 @@ def count_stirling_stats(
     take less time than starting a pool.
     """
     projected = _check_budget(n, m, budget)
-    stats = StirlingStats(n, m)
-    prefixes = _walk_flat((), 0, min(n, SPLIT_ORDER), m, _subtree_sizes(n, m), stats)
-    jobs = [(word, runs, n, m) for word, runs in prefixes]
-    return _sum_tasks(stats, _walk_stats, jobs, workers if projected >= POOL_MIN_WORDS else 1)
+    stats = StirlingStats(n, m, total=projected)
+    prefixes = list(_walk_flat((), 0, min(n, SPLIT_ORDER), m, stats))
+    if workers > 1 and projected >= POOL_MIN_WORDS:
+        size = pool_size(workers, len(prefixes), _cpu_count())
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            futures = [pool.submit(_walk_stats, word, runs, n, m) for word, runs in prefixes]
+            parts = [fut.result() for fut in futures]
+    else:
+        parts = [_walk_stats(word, runs, n, m) for word, runs in prefixes]
+    for part in parts:
+        stats.merge(part)
+    return stats
 
 
 def format_word(word: StirlingWord | Iterable[int]) -> str:

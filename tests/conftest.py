@@ -12,7 +12,9 @@ import pytest
 from flatstir.bijection import iter_flattened_letters
 from flatstir.tables import count_runs_via_bijection
 from flatstir.typeb import generate_typeb
-from flatstir.words import generate_flattened_filter, scan_stirling_stats
+from flatstir.words import generate_flattened_filter
+
+from brute_force import scan_stirling_stats
 
 WORKERS = min(4, os.cpu_count() or 1)
 

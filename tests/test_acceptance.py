@@ -29,6 +29,7 @@ from flatstir.formulas import (
     max_runs,
 )
 from flatstir.reference import PAIRS_ORDER4, TABLE1, TABLE2
+from brute_force import scan_stirling_stats
 from conftest import WORKERS
 
 
@@ -171,7 +172,7 @@ def test_criterion_10_table2_exhaustive():
     checked = 0
     for n in range(1, 8):
         for m in range(2, 6):
-            stats = words.scan_stirling_stats(n, m, workers=WORKERS if n >= 6 else 1)
+            stats = scan_stirling_stats(n, m, workers=WORKERS if n >= 6 else 1)
             assert stats.total == mstirling_count(n, m), f"|Q| at n={n} m={m}"
             assert stats.flat_total == TABLE2[(n, m)], f"cell n={n} m={m}"
             pruned = words.count_stirling_stats(n, m)

@@ -174,8 +174,10 @@ class TestOeis:
         assert code == 2
 
     def test_generator_conflict(self, capsys):
-        code, _, err = run_cli(capsys, "oeis", "A007405", "--generator", "flat2")
-        assert code == 2
+        """There is no --generator flag: the positional names the one generator."""
+        with pytest.raises(SystemExit) as err:
+            main(["oeis", "A007405", "--generator", "flat2"])
+        assert err.value.code == 2
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "oeis", "dowling", "--bfile",
@@ -249,6 +251,9 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
         ["gen", "flat", "--n", "3", "--m", "0"],
         ["gen", "flat", "--n", "0", "--via", "bijection"],
         ["table", "--max-n", "0"],
+        ["table", "--max-n", "3", "--max-m", "1"],
+        ["table", "--mstirling", "--max-n", "3", "--max-m", "1"],
+        ["cache", "check", "--path", "absent.json", "--max-m", "1"],
         ["oeis", "dowling", "--max-terms", "0"],
         ["oeis", "dowling", "--max-terms", "-1"],
         ["verify", "runs", "--max-n", "0"],
@@ -361,6 +366,82 @@ def test_out_of_domain_cache_entry_exits_2_without_traceback(entry, action, tmp_
     assert proc.stderr.startswith("error: cache entry ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
     assert path.read_text() == text
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"kind": "flat_k", "n": 201, "m": 2, "k": 1},
+        {"kind": "flat_k", "n": 10**5, "m": 2, "k": 1},
+        {"kind": "typeb", "n": 10**6, "m": None, "k": None},
+        {"kind": "mstirling_flat", "n": 10**5, "m": 5, "k": None},
+        {"kind": "stirling", "n": 3, "m": 21, "k": None},
+        {"kind": "stirling", "n": 3, "m": 10**9, "k": None},
+    ],
+    ids=lambda entry: f"{entry['kind']} n={entry['n']} m={entry['m']}",
+)
+@pytest.mark.parametrize("action", ["check", "build"])
+def test_cache_entry_above_the_bounds_exits_2_fast(entry, action, tmp_path):
+    path = tmp_path / "cache.json"
+    text = json.dumps({"version": 1, "entries": [dict(entry, count="1", provenance="formula")]})
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatstir.cli", "cache", action, "--path", str(path)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cache entry ") and proc.stderr.count("\n") == 1
+    assert "above the largest cached order 200 or multiplicity 20" in proc.stderr
+    assert proc.stdout == ""
+    assert path.read_text() == text
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--max-n", "201"), ("--max-m", "21"), ("--max-m", "1000000000")]
+)
+def test_cache_build_range_above_the_bounds_exits_2(capsys, tmp_path, flag, value):
+    path = tmp_path / "cache.json"
+    code, out, err = run_cli(capsys, "cache", "build", "--path", str(path), flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: the cache holds orders up to 200 and multiplicities up to 20")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--max-n", "3", "--max-k", "1000000000"],
+        ["table", "--mstirling", "--max-n", "3", "--max-m", "1000000000"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_huge_table_exits_3_before_any_work(argv):
+    """The cell count is checked against --budget before a table is built."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatstir.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: a table of 3 rows and ") and proc.stderr.count("\n") == 1
+    assert "exceeding the budget of 50000000" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_table_cells_count_against_the_budget(capsys):
+    code, out, err = run_cli(capsys, "table", "--mstirling", "--max-n", "4", "--budget", "11")
+    assert code == 3 and out == ""
+    assert err == (
+        "error: a table of 4 rows and 4 columns would visit 16 objects, "
+        "exceeding the budget of 11\n"
+    )
+    code, _, _ = run_cli(capsys, "table", "--mstirling", "--max-n", "4", "--budget", "16")
+    assert code == 0
 
 
 def test_closed_stdout_exits_0_quietly():

@@ -71,7 +71,6 @@ OEIS = st.sampled_from(
 ).flatmap(
     lambda seq: command(
         ["oeis", seq],
-        optional("--generator", st.sampled_from(sorted(oeis.GENERATORS))),
         optional("--max-terms", SMALL),
     )
 )

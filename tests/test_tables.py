@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from flatstir import tables
 from flatstir.errors import CacheCoherenceError, TableFormatError
+from flatstir.formulas import mstirling_count, run_distribution
 from flatstir.reference import TABLE1, TABLE2
 from flatstir.tables import (
     CountTable,
@@ -36,6 +38,12 @@ class TestBuilders:
                 for k, cnt in by_runs.items():
                     assert table.get("flat_k", n, 2, k) == cnt
 
+    def test_modes_differ_only_in_the_run_distribution(self):
+        """Both modes fill the same entries, provenance included: |Q_n| is the formula."""
+        filt = flat_k_table(7, mode="filter")
+        assert filt.entries == flat_k_table(7, mode="bijection").entries
+        assert filt.entries[("stirling", 7, 2, None)] == (135_135, "formula")
+
     def test_flat_k_row_sums(self):
         table = flat_k_table(7, mode="bijection")
         for n in range(1, 8):
@@ -53,6 +61,7 @@ class TestBuilders:
                     == form.get("mstirling_flat", n, m)
                     == TABLE2[(n, m)]
                 )
+                assert filt.entries[("stirling", n, m, None)] == (mstirling_count(n, m), "formula")
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -215,6 +224,30 @@ class TestCache:
             check_cache(path)
         with pytest.raises(TableFormatError, match="outside the domain"):
             build_cache(path, max_n=2, max_m=2)
+
+    def test_each_order_is_derived_once_per_build_and_per_check(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return run_distribution(n)
+
+        monkeypatch.setattr(tables, "run_distribution", counted)
+        path = str(tmp_path / "counts.json")
+        build_cache(path, max_n=12, max_m=2)
+        assert calls == list(range(1, 13))
+        calls.clear()
+        check_cache(path)
+        assert calls == list(range(1, 13))
+
+    def test_entries_at_the_bounds_are_derived(self, tmp_path):
+        path = str(tmp_path / "counts.json")
+        doc = {"version": 1, "entries": [
+            {"kind": "stirling", "n": 200, "m": 20, "k": None,
+             "count": str(mstirling_count(200, 20)), "provenance": "formula"},
+        ]}
+        open(path, "w").write(json.dumps(doc))
+        assert check_cache(path) == 1
 
     def test_tampered_formula_value_fails_on_load(self, tmp_path):
         path = str(tmp_path / "counts.json")

@@ -17,8 +17,9 @@ from flatstir.words import (
     parse_word,
     pool_size,
     run_decomposition,
-    scan_stirling_stats,
 )
+
+from brute_force import scan_stirling_stats
 
 
 def W(text: str, m: int = 2) -> StirlingWord:
@@ -43,6 +44,54 @@ def assert_same_counts(pruned, brute) -> None:
     assert pruned.total == brute.total
     assert pruned.flat_total == brute.flat_total
     assert pruned.flat_by_runs == brute.flat_by_runs
+
+
+# count_stirling_stats on the whole default-budget grid, every field:
+# (n, m): (total, flat_total, flat_by_runs, visited).
+PINNED_STATS = {
+    (0, 2): (1, 1, {0: 1}, 0),
+    (1, 2): (1, 1, {1: 1}, 1),
+    (2, 2): (3, 2, {1: 1, 2: 1}, 4),
+    (3, 2): (15, 6, {1: 1, 2: 5}, 14),
+    (4, 2): (105, 24, {1: 1, 2: 15, 3: 8}, 56),
+    (5, 2): (945, 116, {1: 1, 2: 37, 3: 70, 4: 8}, 272),
+    (6, 2): (10395, 648, {1: 1, 2: 83, 3: 374, 4: 190}, 1548),
+    (7, 2): (135135, 4088, {1: 1, 2: 177, 3: 1596, 4: 2034, 5: 280}, 9972),
+    (8, 2): (2027025, 28640, {1: 1, 2: 367, 3: 6012, 4: 15260, 5: 6720, 6: 280}, 71292),
+    (9, 2): (34459425, 219920, {1: 1, 2: 749, 3: 20994, 4: 93764, 5: 88732, 6: 15680}, 558172),
+    (0, 3): (1, 1, {0: 1}, 0),
+    (1, 3): (1, 1, {1: 1}, 1),
+    (2, 3): (4, 3, {1: 1, 2: 2}, 5),
+    (3, 3): (28, 12, {1: 1, 2: 9, 3: 2}, 26),
+    (4, 3): (280, 63, {1: 1, 2: 26, 3: 36}, 146),
+    (5, 3): (3640, 405, {1: 1, 2: 63, 3: 251, 4: 90}, 965),
+    (6, 3): (58240, 3024, {1: 1, 2: 140, 3: 1227, 4: 1476, 5: 180}, 7445),
+    (7, 3): (1106560, 25515, {1: 1, 2: 297, 3: 5000, 4: 13485, 5: 6552, 6: 180}, 64901),
+    (8, 3): (24344320, 239355, {1: 1, 2: 614, 3: 18330, 4: 92730, 5: 106008, 6: 21672}, 626231),
+    (0, 4): (1, 1, {0: 1}, 0),
+    (1, 4): (1, 1, {1: 1}, 1),
+    (2, 4): (5, 4, {1: 1, 2: 3}, 6),
+    (3, 4): (45, 20, {1: 1, 2: 13, 3: 6}, 42),
+    (4, 4): (585, 128, {1: 1, 2: 37, 3: 84, 4: 6}, 302),
+    (5, 4): (9945, 1008, {1: 1, 2: 89, 3: 546, 4: 372}, 2478),
+    (6, 4): (208845, 9280, {1: 1, 2: 197, 3: 2584, 4: 5154, 5: 1344}, 23646),
+    (7, 4): (5221125, 96704, {1: 1, 2: 417, 3: 10342, 4: 43896, 5: 38016, 6: 4032}, 255646),
+    (0, 5): (1, 1, {0: 1}, 0),
+    (1, 5): (1, 1, {1: 1}, 1),
+    (2, 5): (6, 5, {1: 1, 2: 4}, 7),
+    (3, 5): (66, 30, {1: 1, 2: 17, 3: 12}, 62),
+    (4, 5): (1056, 225, {1: 1, 2: 48, 3: 152, 4: 24}, 542),
+    (5, 5): (22176, 2075, {1: 1, 2: 115, 3: 955, 4: 980, 5: 24}, 5267),
+    (6, 5): (576576, 22500, {1: 1, 2: 254, 3: 4445, 4: 12520, 5: 5280}, 59217),
+    (7, 5): (17873856, 276875, {1: 1, 2: 537, 3: 17622, 4: 102795, 5: 130720, 6: 25200}, 756717),
+}
+
+
+@pytest.mark.parametrize("n, m", sorted(PINNED_STATS), ids=lambda v: str(v))
+def test_count_stirling_stats_pinned_on_the_budget_grid(n, m):
+    stats = count_stirling_stats(n, m)
+    assert (stats.order, stats.multiplicity) == (n, m)
+    assert (stats.total, stats.flat_total, stats.flat_by_runs, stats.visited) == PINNED_STATS[(n, m)]
 
 
 class TestIsStirling:
