@@ -38,6 +38,7 @@ from .formulas import (
     max_runs,
     mstirling_count,
     run_distribution,
+    run_distributions,
     stirling2,
 )
 from .tables import (

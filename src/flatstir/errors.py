@@ -42,8 +42,19 @@ class TableFormatError(SyntaxFormatError):
     pass
 
 
+def _describe_count(value: int) -> str:
+    """``value`` in decimal up to 100 digits, else ``more than 10^k`` with k taken
+    from its bit length (30102/100000 < log10 2): a huge int is never made text."""
+    if value < 10**100:
+        return str(value)
+    return f"more than 10^{(value.bit_length() - 1) * 30102 // 100000}"
+
+
 class BudgetExceededError(FlatstirError):
-    """Projected enumeration size exceeds the configured object cap."""
+    """Projected enumeration size exceeds the configured object cap.
+
+    ``projected`` keeps the exact projection that the message may abbreviate.
+    """
 
     exit_code = 3
 
@@ -51,7 +62,8 @@ class BudgetExceededError(FlatstirError):
         self.projected = projected
         self.cap = cap
         super().__init__(
-            f"{what} would visit {projected} objects, exceeding the budget of {cap}"
+            f"{what} would visit {_describe_count(projected)} objects, "
+            f"exceeding the budget of {_describe_count(cap)}"
         )
 
 
@@ -94,7 +106,11 @@ class NotTypeBError(DomainError):
 
 
 class SeriesPrecisionError(FlatstirError):
-    """Series evaluation could not be certified to round to an integer."""
+    """A series value that cannot be certified as an integer.
+
+    Kept as an exported name only: nothing raises it now, since
+    ``flatm_series`` sums its series exactly in integers.
+    """
 
     exit_code = 1
 

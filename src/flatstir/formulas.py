@@ -1,16 +1,12 @@
 """Exact closed-form and recursive counting formulas.
 
-All counts are plain Python ints (arbitrary precision); nothing in this
-module touches floating point except the certified series evaluator,
-which works in exact rationals and only rounds once the result is
-provably within 1/4 of an integer.
+All counts are plain Python ints (arbitrary precision), and every
+function here is integer arithmetic: the m-fold series, the one formula
+stated over the reals, is summed exactly by Dobinski's formula.
 """
 
-from fractions import Fraction
 from math import comb, prod
 from typing import Iterator
-
-from .errors import SeriesPrecisionError
 
 
 def double_factorial(n: int) -> int:
@@ -97,8 +93,8 @@ def max_runs(n: int) -> int:
 
 
 def _choose_at_least_two(s: int) -> int:
-    """sum_{j=2}^{s} C(s, j); empty (zero) whenever s < 2."""
-    return sum(comb(s, j) for j in range(2, s + 1))
+    """sum_{j=2}^{s} C(s, j) = 2^s - s - 1, which is zero whenever s < 2."""
+    return 2**s - s - 1
 
 
 def flat3_conjecture(n: int) -> int:
@@ -118,21 +114,21 @@ def flat3_conjecture(n: int) -> int:
     return 2 * first + 2 * second + third
 
 
-def run_distribution(n: int) -> dict[int, int]:
-    """Flattened doubled words of order n by run count k, nonzero counts only.
+def run_distributions(n_max: int) -> dict[int, dict[int, int]]:
+    """Flattened doubled words of each order n <= n_max by run count k, nonzero counts only.
 
     The run count is a block statistic of the type B partition of
     [-(n-1), n-1] (``run_count_from_partition``).  A block of s magnitudes
     has C(s-1, p-1) sign patterns with p positives, so its run polynomial
     is w_1 = 1, w_s = 2x + (2^(s-1) - 2)x^2; by the exponential formula the
     blocks on M magnitudes sum to B(M) = sum_s C(M-1, s-1) w_s B(M-s), and
-    the zero-block adds sum_i C(n-1, i) x^(1 + [i > 0]) B(n-1-i).
+    the zero-block adds sum_i C(n-1, i) x^(1 + [i > 0]) B(n-1-i).  The
+    table B(0..n_max-1) is built once and serves every order.
     """
-    if n < 1:
+    if n_max < 1:
         raise ValueError("n must be positive")
-    t = n - 1
     blocks = [[1]]  # blocks[M][d]: partitions of M magnitudes whose blocks add d runs
-    for big_m in range(1, t + 1):
+    for big_m in range(1, n_max):
         acc = [0] * (big_m + 1)
         for s in range(1, big_m + 1):
             ways = comb(big_m - 1, s - 1)
@@ -140,11 +136,19 @@ def run_distribution(n: int) -> dict[int, int]:
                 for d, count in enumerate(blocks[big_m - s]):
                     acc[d + e] += ways * weight * count
         blocks.append(acc)
-    total = [0] * (t + 2)
-    for i in range(t + 1):
-        for d, count in enumerate(blocks[t - i]):
-            total[d + 1 + (i > 0)] += comb(t, i) * count
-    return {k: count for k, count in enumerate(total) if count}
+    rows = {}
+    for t in range(n_max):
+        total = [0] * (t + 2)
+        for i in range(t + 1):
+            for d, count in enumerate(blocks[t - i]):
+                total[d + 1 + (i > 0)] += comb(t, i) * count
+        rows[t + 1] = {k: count for k, count in enumerate(total) if count}
+    return rows
+
+
+def run_distribution(n: int) -> dict[int, int]:
+    """The run distribution of order n alone: the last row of ``run_distributions(n)``."""
+    return run_distributions(n)[n]
 
 
 def mstirling_count(n: int, m: int) -> int:
@@ -180,79 +184,25 @@ def flatm_recurrence(n: int, m: int) -> int:
     return b[n - 1]
 
 
-def _exp_neg_inverse_bounds(m: int, terms: int) -> tuple[Fraction, Fraction]:
-    """Certified rational bounds on e^(-1/m) from the alternating Taylor series."""
-    x = Fraction(1, m)
-    total = Fraction(0)
-    term = Fraction(1)
-    for i in range(terms + 1):
-        if i:
-            term *= -x / i
-        total += term
-    err = x ** (terms + 1) / prod(range(1, terms + 2))
-    return total - err, total + err
-
-
-def flatm_series(n: int, m: int, max_rounds: int = 12) -> int:
+def flatm_series(n: int, m: int) -> int:
     """Count of flattened m-Stirling words of order n, via the conjectured series.
 
-    Evaluates e^(-1/m) * sum_{k>=0} (mk + m - 1)^(n-1) / (k! * m^k) in
-    exact rational arithmetic.  The partial sum is cut off once the term
-    ratio is certifiably below 1/2 (the ratio is monotone decreasing), so
-    the tail is bounded by twice the first omitted term; e^(-1/m) is
-    enclosed by alternating-series bounds.  Precision (series terms on
-    both sides) grows geometrically until the certified interval lies
-    within 1/4 of a single integer, which is then returned.
-
-    Raises SeriesPrecisionError if the interval cannot be certified, or
-    if it provably does not round (value further than 1/4 from every
-    integer).
+    The series e^(-1/m) * sum_{k>=0} (mk + m - 1)^p / (k! * m^k), with
+    p = n - 1 (p = 0 at n = 0), summed exactly by Dobinski's formula.
+    Expanding (mk + m - 1)^p binomially and using
+    sum_k k^j x^k / k! = e^x * sum_i S(j, i) x^i at x = 1/m cancels the
+    exponential and leaves the integer r-Whitney sum
+    sum_j C(p, j) * (m-1)^(p-j) * sum_i S(j, i) * m^(j-i).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if m < 2:
         raise ValueError("m must be at least 2")
     p = n - 1 if n >= 1 else 0
-
-    def term(k: int, factorial: int) -> Fraction:
-        return Fraction((m * k + m - 1) ** p, factorial * m**k)
-
-    quarter = Fraction(1, 4)
-    terms_main = 8
-    terms_exp = 8
-    narrow_interval: tuple[Fraction, Fraction] | None = None
-    for _ in range(max_rounds):
-        total = Fraction(0)
-        factorial = 1
-        k = 0
-        while True:
-            total += term(k, factorial)
-            # the term ratio t(k+1)/t(k) decreases in k; once it is <= 1/2
-            # the tail beyond t(k+1) is geometrically dominated, so the
-            # whole remainder is at most 2*t(k+1)
-            nxt = term(k + 1, factorial * (k + 1))
-            if k >= terms_main and 2 * nxt <= term(k, factorial) and nxt < Fraction(1, 16):
-                tail_hi = 2 * nxt
-                break
-            factorial *= k + 1
-            k += 1
-        exp_lo, exp_hi = _exp_neg_inverse_bounds(m, terms_exp)
-        lo = total * exp_lo
-        hi = (total + tail_hi) * exp_hi
-        if hi - lo < Fraction(1, 8):
-            nearest = (lo + hi + 1) // 2  # floor(midpoint + 1/2)
-            if nearest - quarter <= lo and hi <= nearest + quarter:
-                return int(nearest)
-            # narrow but not inside the quarter window: tighten further
-            narrow_interval = (lo, hi)
-        terms_main *= 2
-        terms_exp *= 2
-    if narrow_interval is not None:
-        lo, hi = narrow_interval
-        raise SeriesPrecisionError(
-            f"series value for (n={n}, m={m}) certified in "
-            f"[{float(lo):.9f}, {float(hi):.9f}] is not within 1/4 of an integer"
-        )
-    raise SeriesPrecisionError(
-        f"series for (n={n}, m={m}) did not certify within {max_rounds} precision rounds"
-    )
+    total = 0
+    for j, row in enumerate(_stirling2_rows(p)):
+        weighted = 0
+        for s in row:  # Horner's rule for sum_i S(j, i) * m^(j-i)
+            weighted = m * weighted + s
+        total += comb(p, j) * (m - 1) ** (p - j) * weighted
+    return total

@@ -34,11 +34,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .bijection import iter_flattened_letters
 from .errors import DEFAULT_BUDGET, CacheCoherenceError, TableFormatError, check_budget
-from .formulas import dowling, flatm_recurrence, max_runs, mstirling_count, run_distribution
+from .formulas import dowling, flatm_recurrence, max_runs, mstirling_count, run_distributions
 from .words import count_stirling_stats, run_starts
 
 KINDS = ("stirling", "flat", "flat_k", "typeb", "mstirling_flat")
@@ -243,7 +243,7 @@ def table_to_json(table: CountTable) -> str:
 def table_from_json(text: str) -> CountTable:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise TableFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise TableFormatError("expected a version-1 count table document")
@@ -279,19 +279,21 @@ def table_from_json(text: str) -> CountTable:
 
 
 # Largest order and multiplicity of a cache entry.  At order 200 the
-# slowest derivation, run_distribution, takes about a second.
+# slowest derivation, run_distributions, takes about two seconds.
 CACHE_MAX_ORDER = 200
 CACHE_MAX_MULTIPLICITY = 20
 
 
-def _derive_entries(keys: Iterable[Key]) -> Iterator[tuple[Key, int]]:
+def _derive_entries(keys: list[Key]) -> Iterator[tuple[Key, int]]:
     """Yield (key, its count by formula) for each key in turn.
 
-    Each order's run distribution is derived once, for all its ``flat_k``
-    keys.  A key outside its kind's domain, or above the cache bounds,
-    is a format error.
+    The run distributions of every order come from one call of
+    ``run_distributions``, for the largest ``flat_k`` order, made when the
+    first ``flat_k`` key is reached.  A key outside its kind's domain, or
+    above the cache bounds, is a format error.
     """
-    distributions: dict[int, dict[int, int]] = {}
+    top = max((n for kind, n, _, _ in keys if kind == "flat_k" and n <= CACHE_MAX_ORDER), default=0)
+    distributions: dict[int, dict[int, int]] | None = None
     for key in keys:
         kind, n, m, k = key
         if n > CACHE_MAX_ORDER or (m or 0) > CACHE_MAX_MULTIPLICITY:
@@ -308,8 +310,8 @@ def _derive_entries(keys: Iterable[Key]) -> Iterator[tuple[Key, int]]:
         elif kind == "mstirling_flat" and n >= 0 and m is not None and m >= 2 and k is None:
             yield key, flatm_recurrence(n, m)
         elif kind == "flat_k" and n >= 1 and m == 2 and k is not None and k >= 1:
-            if n not in distributions:
-                distributions[n] = run_distribution(n)
+            if distributions is None:
+                distributions = run_distributions(top)
             yield key, distributions[n].get(k, 0)
         else:
             raise TableFormatError(f"cache entry {key} is outside the domain of {kind!r}")

@@ -9,7 +9,9 @@ Each suite re-derives a family of facts two ways and compares:
 * ``table1``      -- the run-count table against the frozen reference,
   through the exhaustive filter and through the partition images;
 * ``table2``      -- the m-fold flattened counts: exhaustive scan,
-  recurrence, and certified series against the frozen reference;
+  recurrence, and the series (summed exactly as an r-Whitney sum; its
+  case labels keep the name "certified series") against the frozen
+  reference;
 * ``conjectures`` -- the three-run formula against enumerated counts,
   and the m-fold recurrence/series/count identities.
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from flatstir.cli import main
+from flatstir.errors import BudgetExceededError
 from flatstir.reference import PAIRS_ORDER4, TABLE1
 
 
@@ -48,6 +49,15 @@ class TestGen:
     def test_budget_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "gen", "stirling", "--n", "12", "--m", "5")
         assert code == 3 and "budget" in err
+
+    def test_budget_message_bounds_a_huge_projection(self):
+        """Past 100 digits the message gives a power of ten below the projection."""
+        exc = BudgetExceededError(10**5000, 1)
+        assert str(exc) == (
+            "enumeration would visit more than 10^4999 objects, exceeding the budget of 1"
+        )
+        assert exc.projected == 10**5000
+        assert str(BudgetExceededError(10**100 - 1, 1)).count("9") == 100
 
     def test_bijection_needs_m2(self, capsys):
         code, _, err = run_cli(capsys, "gen", "flat", "--n", "3", "--m", "3",
@@ -271,6 +281,30 @@ def test_out_of_range_argument_exits_2_without_traceback(argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "stirling", "--n", "1700"],
+        ["gen", "flat", "--n", "1700"],
+        ["gen", "typeb", "--n", "1850"],
+        ["gen", "flat", "--n", "1850", "--via", "bijection"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_projection_too_long_to_print_exits_3_without_traceback(argv):
+    """Each projection has more digits than int() may turn into text."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatstir.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "would visit more than 10^" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_huge_partition_magnitude_is_rejected_in_bounded_memory():
     """The coverage check must not build range(n + 1) for the largest magnitude n."""
     def cap_memory():
@@ -364,6 +398,26 @@ def test_out_of_domain_cache_entry_exits_2_without_traceback(entry, action, tmp_
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: cache entry ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    assert path.read_text() == text
+
+
+@pytest.mark.parametrize("action", ["check", "build"])
+def test_cache_integer_too_long_to_convert_exits_2_without_traceback(action, tmp_path):
+    path = tmp_path / "cache.json"
+    text = (
+        '{"version": 1, "entries": [{"kind": "typeb", "n": 1' + "0" * 5000
+        + ', "m": null, "k": null, "count": "1", "provenance": "formula"}]}'
+    )
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatstir.cli", "cache", action, "--path", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: invalid JSON: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
     assert path.read_text() == text
 

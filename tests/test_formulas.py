@@ -1,5 +1,6 @@
 """Closed forms and recurrences against independent oracles and frozen columns."""
 
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from flatstir.formulas import (
     max_runs,
     mstirling_count,
     run_distribution,
+    run_distributions,
     stirling2,
 )
 from flatstir.reference import TABLE1, TABLE2
@@ -162,9 +164,19 @@ def test_flatm_series_certified_rounding():
     for (n, m), expected in TABLE2.items():
         assert flatm_series(n, m) == expected
     # larger than the reference grid, against the recurrence
-    for m in (2, 3, 5):
-        for n in (8, 10, 12):
-            assert flatm_series(n, m) == flatm_recurrence(n, m)
+    for m in range(2, 9):
+        for n in range(0, 61):
+            assert flatm_series(n, m) == flatm_recurrence(n, m), (n, m)
+
+
+def test_flatm_series_equals_the_series_summed_in_floats():
+    """The series as written, without Dobinski's formula: 200 terms in floats
+    are exact enough for m <= 5 through n = 15 (they fail at (16, 5))."""
+    for m in range(2, 6):
+        for n in range(0, 13):
+            p = max(n - 1, 0)
+            terms = [(m * k + m - 1) ** p / (math.factorial(k) * m**k) for k in range(200)]
+            assert flatm_series(n, m) == round(math.exp(-1 / m) * math.fsum(terms)), (n, m)
 
 
 def test_argument_validation():
@@ -191,6 +203,15 @@ def test_run_distribution_equals_both_enumerations(bijection_runs, filter_stats)
     for n in range(1, 9):
         assert run_distribution(n) == filter_stats[n].flat_by_runs
     assert run_distribution(9) == count_stirling_stats(9, 2).flat_by_runs
+
+
+def test_run_distributions_rows_equal_each_order_alone():
+    rows = run_distributions(60)
+    assert sorted(rows) == list(range(1, 61))
+    for n in range(1, 61):
+        assert rows[n] == run_distribution(n)
+    with pytest.raises(ValueError):
+        run_distributions(0)
 
 
 def test_run_distribution_identities_to_order_60():

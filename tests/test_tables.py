@@ -6,7 +6,7 @@ import pytest
 
 from flatstir import tables
 from flatstir.errors import CacheCoherenceError, TableFormatError
-from flatstir.formulas import mstirling_count, run_distribution
+from flatstir.formulas import mstirling_count, run_distributions
 from flatstir.reference import TABLE1, TABLE2
 from flatstir.tables import (
     CountTable,
@@ -122,6 +122,11 @@ class TestCsv:
             parse_table2_csv(bad)
 
 
+# json.dumps cannot write an int too long for str(); the test text puts one
+# (1 followed by 5,000 zeros) where this placeholder stands
+TOO_LONG = "<an order of 5001 digits>"
+
+
 class TestJson:
     def test_round_trip(self):
         table = flat_k_table(5, mode="bijection")
@@ -150,13 +155,15 @@ class TestJson:
             lambda d: d["entries"][0].pop("kind"),
             lambda d: d["entries"][0].update(n=True),
             lambda d: d["entries"][0].update(m=False),
+            lambda d: d["entries"][0].update(n=TOO_LONG),
         ],
     )
     def test_malformed_documents(self, mutate):
         doc = json.loads(table_to_json(flat_k_table(2, mode="filter")))
         mutate(doc)
+        text = json.dumps(doc).replace(json.dumps(TOO_LONG), "1" + "0" * 5000)
         with pytest.raises(TableFormatError):
-            table_from_json(json.dumps(doc))
+            table_from_json(text)
 
     def test_invalid_json_text(self):
         with pytest.raises(TableFormatError):
@@ -228,17 +235,17 @@ class TestCache:
     def test_each_order_is_derived_once_per_build_and_per_check(self, tmp_path, monkeypatch):
         calls = []
 
-        def counted(n):
-            calls.append(n)
-            return run_distribution(n)
+        def counted(n_max):
+            calls.append(n_max)
+            return run_distributions(n_max)
 
-        monkeypatch.setattr(tables, "run_distribution", counted)
+        monkeypatch.setattr(tables, "run_distributions", counted)
         path = str(tmp_path / "counts.json")
         build_cache(path, max_n=12, max_m=2)
-        assert calls == list(range(1, 13))
+        assert calls == [12]
         calls.clear()
         check_cache(path)
-        assert calls == list(range(1, 13))
+        assert calls == [12]
 
     def test_entries_at_the_bounds_are_derived(self, tmp_path):
         path = str(tmp_path / "counts.json")
