@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -240,11 +241,22 @@ def table_to_json(table: CountTable) -> str:
     return json.dumps({"version": 1, "entries": entries}, indent=2) + "\n"
 
 
+def _max_str_digits() -> int:
+    """Python's limit on the digits of an int converted from text (0: no limit)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def table_from_json(text: str) -> CountTable:
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except json.JSONDecodeError as exc:
         raise TableFormatError(f"invalid JSON: {exc}") from None
+    except ValueError:
+        # An integer too long to convert.  Python's own message advises
+        # sys.set_int_max_str_digits(), which no CLI option offers.
+        raise TableFormatError(
+            f"invalid JSON: a number has more than {_max_str_digits()} digits"
+        ) from None
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise TableFormatError("expected a version-1 count table document")
     if not isinstance(doc.get("entries"), list):
@@ -262,6 +274,11 @@ def table_from_json(text: str) -> CountTable:
             raise TableFormatError(f"entry {i}: missing field {exc}") from None
         if not isinstance(count_text, str) or not count_text.isdigit():
             raise TableFormatError(f"entry {i}: count must be a decimal string")
+        limit = _max_str_digits()
+        if limit and len(count_text) > limit:
+            raise TableFormatError(
+                f"entry {i}: count has {len(count_text)} digits, more than {limit}"
+            )
         # JSON true/false are not orders: bool is a subclass of int, so test the type
         if type(n) is not int or not all(v is None or type(v) is int for v in (m, k)):
             raise TableFormatError(f"entry {i}: n/m/k must be integers (m, k may be null)")

@@ -37,6 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
+from operator import lt
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
@@ -75,7 +76,15 @@ class SignedBlock:
 
 @dataclass(frozen=True)
 class TypeBPartition:
-    """Canonical-form candidate; use ``validate_canonical`` to check invariants."""
+    """Canonical-form candidate; use ``validate_canonical`` to check invariants.
+
+    ``ensure_canonical`` and ``parse_partition`` remember a passed check
+    on the instance (a private ``_canonical`` attribute, not a field: it
+    takes no part in equality, hashing or ``repr``), so each instance is
+    checked at most once however many maps it passes through.  That is
+    sound because the instance is frozen and holds tuples of frozen
+    ``SignedBlock``s.  Generated partitions carry no mark.
+    """
 
     n: int
     zero_block: tuple[int, ...]
@@ -96,32 +105,47 @@ class Diagnostic:
 
 
 def _strictly_increasing(seq: Sequence[int]) -> bool:
-    return all(a < b for a, b in zip(seq, seq[1:]))
+    return all(map(lt, seq, seq[1:]))
 
 
 def validate_canonical(candidate: TypeBPartition) -> tuple[bool, list[Diagnostic]]:
-    """Check every canonical-form invariant; diagnostics name each violated rule."""
+    """Check every canonical-form invariant; diagnostics name each violated rule.
+
+    Diagnostics come in a fixed order: the zero-block rules, then each
+    block's rules in block order, then block order, duplicates and
+    coverage.  One pass over the blocks takes each block's minimum once
+    and gathers the magnitudes; the search for the first duplicate runs
+    only when the magnitudes hold one.  Memory stays bounded by the
+    input even when ``n`` is huge.
+
+    This function is pure and checks every time.  The maps call it
+    through ``ensure_canonical``, which runs it once per instance.
+    """
     diags: list[Diagnostic] = []
     zb = candidate.zero_block
     if not zb or zb[0] != 0 or 0 not in zb:
         diags.append(Diagnostic("zero-block-missing-zero", "zero-block must start with 0"))
-    if any(v < 0 for v in zb):
+    if zb and min(zb) < 0:
         diags.append(Diagnostic("zero-block-negative", "zero-block may not contain negatives"))
     if not _strictly_increasing(zb):
         diags.append(Diagnostic("zero-block-order", "zero-block must be strictly increasing"))
 
+    mins: list[int] = []
+    magnitudes = list(zb)
     for idx, block in enumerate(candidate.blocks, start=1):
-        if any(v < 1 for v in block.magnitudes):
+        negatives, positives, own = block.negatives, block.positives, block.magnitudes
+        if own and min(own) < 1:
             diags.append(
                 Diagnostic("bad-magnitude", f"block {idx} contains a magnitude below 1")
             )
-        if not block.positives:
+        if positives:
+            low = min(positives)
+            mins.append(low)
+        else:
             diags.append(
                 Diagnostic("empty-positives", f"block {idx} has no positive element")
             )
-        if not _strictly_increasing(block.negatives) or not _strictly_increasing(
-            block.positives
-        ):
+        if not (_strictly_increasing(negatives) and _strictly_increasing(positives)):
             diags.append(
                 Diagnostic(
                     "intra-block-order",
@@ -129,33 +153,33 @@ def validate_canonical(candidate: TypeBPartition) -> tuple[bool, list[Diagnostic
                     "(negatives by decreasing value, then positives increasing)",
                 )
             )
-        if block.negatives and block.positives and min(block.negatives) <= min(block.positives):
+        if negatives and positives and min(negatives) <= low:
             diags.append(
                 Diagnostic(
                     "negative-min-rule",
-                    f"block {idx}: min negative magnitude {min(block.negatives)} "
-                    f"must exceed min positive {min(block.positives)}",
+                    f"block {idx}: min negative magnitude {min(negatives)} "
+                    f"must exceed min positive {low}",
                 )
             )
+        magnitudes += own
 
-    mins = [min(b.positives) for b in candidate.blocks if b.positives]
     if len(mins) == len(candidate.blocks) and not _strictly_increasing(mins):
         diags.append(
             Diagnostic("block-order", "blocks must be sorted by minimal positive element")
         )
 
-    magnitudes = list(zb) + [v for b in candidate.blocks for v in b.magnitudes]
-    seen: set[int] = set()
-    for v in magnitudes:
-        if v in seen:
-            diags.append(
-                Diagnostic("duplicate-value", f"magnitude {v} appears more than once")
-            )
-            break
-        seen.add(v)
-    # distinct == set(range(n + 1)) without building it: parsed text can make n huge
     distinct = set(magnitudes)
-    in_range = all(0 <= v <= candidate.n for v in distinct)
+    if len(distinct) != len(magnitudes):
+        seen: set[int] = set()
+        for v in magnitudes:
+            if v in seen:
+                diags.append(
+                    Diagnostic("duplicate-value", f"magnitude {v} appears more than once")
+                )
+                break
+            seen.add(v)
+    # distinct == set(range(n + 1)) without building it: parsed text can make n huge
+    in_range = not distinct or (min(distinct) >= 0 and max(distinct) <= candidate.n)
     if not in_range or len(distinct) != max(candidate.n + 1, 0):
         diags.append(
             Diagnostic(
@@ -166,10 +190,36 @@ def validate_canonical(candidate: TypeBPartition) -> tuple[bool, list[Diagnostic
     return (not diags, diags)
 
 
+def _remember_canonical(partition: TypeBPartition) -> None:
+    """Mark a partition that passed ``validate_canonical`` so it is not checked again.
+
+    Only an exact ``TypeBPartition`` whose blocks are all exact
+    ``SignedBlock``s is marked: both are frozen and hold tuples, so a
+    passed check stays true for the instance's lifetime.  A subclass or
+    a duck-typed block may change, and is checked on every call.
+    """
+    if type(partition) is TypeBPartition and all(
+        type(b) is SignedBlock for b in partition.blocks
+    ):
+        object.__setattr__(partition, "_canonical", True)
+
+
 def ensure_canonical(candidate: TypeBPartition) -> TypeBPartition:
+    """Return ``candidate`` if it is canonical, else raise NotCanonicalError.
+
+    The check runs once per instance: a passed check is remembered on
+    the instance, and later calls return at once.  That is sound because
+    a ``TypeBPartition`` of ``SignedBlock``s is frozen and holds tuples,
+    so it cannot stop being canonical; other blocks are checked on every
+    call (see ``_remember_canonical``).  A new instance, even an equal
+    one, is checked anew, and a failed check is never remembered.
+    """
+    if getattr(candidate, "_canonical", False) is True:
+        return candidate
     ok, diags = validate_canonical(candidate)
     if not ok:
         raise NotCanonicalError(diags)
+    _remember_canonical(candidate)
     return candidate
 
 
@@ -313,6 +363,7 @@ def parse_partition(text: str) -> TypeBPartition:
     ok, diags = validate_canonical(partition)
     if extra or not ok:
         raise NotCanonicalError(extra + diags)
+    _remember_canonical(partition)
     return partition
 
 

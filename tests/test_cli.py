@@ -402,24 +402,35 @@ def test_out_of_domain_cache_entry_exits_2_without_traceback(entry, action, tmp_
     assert path.read_text() == text
 
 
+TOO_LONG = [
+    # a bare number: the JSON decoder refuses it
+    ('{"version": 1, "entries": [{"kind": "typeb", "n": 1' + "0" * 5000
+     + ', "m": null, "k": null, "count": "1", "provenance": "formula"}]}',
+     "error: invalid JSON: a number has more than 4300 digits\n"),
+    # a count string: int() refuses it
+    ('{"version": 1, "entries": [{"kind": "typeb", "n": 1, "m": null, "k": null, "count": "1'
+     + "0" * 5000 + '", "provenance": "formula"}]}',
+     "error: entry 0: count has 5001 digits, more than 4300\n"),
+]
+
+
 @pytest.mark.parametrize("action", ["check", "build"])
 def test_cache_integer_too_long_to_convert_exits_2_without_traceback(action, tmp_path):
     path = tmp_path / "cache.json"
-    text = (
-        '{"version": 1, "entries": [{"kind": "typeb", "n": 1' + "0" * 5000
-        + ', "m": null, "k": null, "count": "1", "provenance": "formula"}]}'
-    )
-    path.write_text(text)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "flatstir.cli", "cache", action, "--path", str(path)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: invalid JSON: ") and proc.stderr.count("\n") == 1
-    assert proc.stdout == ""
-    assert path.read_text() == text
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    for text, message in TOO_LONG:
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "flatstir.cli", "cache", action, "--path", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "set_int_max_str_digits" not in proc.stderr
+        assert proc.stderr == message
+        assert proc.stdout == ""
+        assert path.read_text() == text
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,9 @@
 The digests were taken from the build before the run scanners, budget
 guards and pool paths were merged; a refactor that changes any printed
 byte fails here.  ``elapsed_seconds`` lines are dropped before hashing.
-The merged run scanner is also pinned against the brute-force oracle.
+The error text of ``map phi`` for non-canonical partitions is pinned
+byte for byte, one case per validation diagnostic.  The merged run
+scanner is also pinned against the brute-force oracle.
 """
 
 import hashlib
@@ -56,6 +58,52 @@ def test_golden_not_flattened_message(capsys):
         "error: run starting at position 2 leads with 1, "
         "smaller than the previous leading term 2\n"
     )
+
+
+PREFIX = "error: partition is not in canonical form: "
+INTRA = (
+    "elements are not in canonical order "
+    "(negatives by decreasing value, then positives increasing)"
+)
+
+# (partition text, exit code, stderr) of `map phi`: one text per diagnostic
+# code, the parser's own order check, a huge n and one text with many
+# diagnostics.  Taken from the build before the one-pass validator.
+GOLDEN_PHI_ERRORS = [
+    ("1", 4, "zero-block must start with 0; magnitudes must cover 0..1 exactly; got [1]"),
+    ("0 -1", 4,
+     "zero-block may not contain negatives; zero-block must be strictly increasing; "
+     "magnitudes must cover 0..1 exactly; got [-1, 0]"),
+    ("0 2 1", 4, "zero-block must be strictly increasing"),
+    ("0 | 1 0", 4,
+     f"block 1 contains a magnitude below 1; block 1 {INTRA}; "
+     "magnitude 0 appears more than once"),
+    ("0 1 | -2", 4, "block 1 has no positive element"),
+    ("0 | 1 3 2", 4, f"block 1 {INTRA}"),
+    ("0 | 1 -2", 4, "block 1: negatives must precede positives"),
+    ("0 | -1 2", 4, "block 1: min negative magnitude 1 must exceed min positive 2"),
+    ("0 | 2 | 1", 4, "blocks must be sorted by minimal positive element"),
+    ("0 1 | 1", 4, "magnitude 1 appears more than once"),
+    ("0 2", 4, "magnitudes must cover 0..2 exactly; got [0, 2]"),
+    ("0 99999999999", 4,
+     "magnitudes must cover 0..99999999999 exactly; got [0, 99999999999]"),
+    ("2 0 -2 | -3 | 5 5 | -1 4 | 4 0", 4,
+     "zero-block must start with 0; zero-block may not contain negatives; "
+     "zero-block must be strictly increasing; block 1 has no positive element; "
+     f"block 2 {INTRA}; block 3: min negative magnitude 1 must exceed min positive 4; "
+     f"block 4 contains a magnitude below 1; block 4 {INTRA}; "
+     "magnitude 5 appears more than once; "
+     "magnitudes must cover 0..5 exactly; got [-2, 0, 1, 2, 3, 4, 5]"),
+]
+
+
+@pytest.mark.parametrize("text, code, detail", GOLDEN_PHI_ERRORS,
+                         ids=[g[0] for g in GOLDEN_PHI_ERRORS])
+def test_golden_map_phi_error_text(capsys, text, code, detail):
+    assert main(["map", "phi", text]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == PREFIX + detail + "\n"
 
 
 def test_run_scanner_agrees_with_scan_oracle():
