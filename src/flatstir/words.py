@@ -61,32 +61,45 @@ POOL_MIN_WORDS = 10_000_000
 
 
 def _stirling_violation(letters: Sequence[int], m: int) -> str | None:
-    """Reason ``letters`` is not an m-Stirling word, or None if it is one."""
+    """Reason ``letters`` is not an m-Stirling word, or None if it is one.
+
+    A word that breaks the Stirling rule is reported at its first
+    violating position, naming the earliest-opened value whose span holds it.
+    """
     if m < 1:
         return f"multiplicity {m} is not positive"
     counts: dict[int, int] = {}
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
+    # The open values (seen, not yet m times) above a 0 sentinel: increasing
+    # up to the first violation when every count is m, so a letter lies
+    # inside a larger value's span exactly when it is below the top.  With a
+    # wrong count the stack means nothing, but the count message wins.
+    stack = [0]
+    between = None
     for idx, v in enumerate(letters):
         if v < 1:
             return f"letter {v} at position {idx} is not a positive integer"
-        counts[v] = counts.get(v, 0) + 1
-        first.setdefault(v, idx)
-        last[v] = idx
+        seen = counts[v] = counts.get(v, 0) + 1
+        if between is not None:
+            continue
+        top = stack[-1]
+        if top > v:
+            above = next(u for u in stack if u > v)
+            between = (
+                f"letter {v} at position {idx} lies between "
+                f"occurrences of {above} but is smaller"
+            )
+            continue
+        if top < v:
+            stack.append(v)
+        if seen == m:
+            stack.pop()
     for v, c in counts.items():
         if c != m:
             return f"value {v} occurs {c} times, expected {m}"
     n = len(counts)
     if counts and max(counts) != n:
         return f"values {sorted(counts)} do not cover 1..{n}"
-    for v in counts:
-        for idx in range(first[v] + 1, last[v]):
-            if letters[idx] < v:
-                return (
-                    f"letter {letters[idx]} at position {idx} lies between "
-                    f"occurrences of {v} but is smaller"
-                )
-    return None
+    return between
 
 
 def is_stirling(letters: Sequence[int], m: int) -> bool:

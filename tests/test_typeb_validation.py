@@ -137,8 +137,9 @@ def _swap(draw, n, zb, blocks):
 
 def _duplicate(draw, n, zb, blocks):
     pool = zb + [v for block in blocks for part in block for v in part]
-    target = draw(st.sampled_from([zb] + [part for block in blocks for part in block]))
-    target.insert(draw(st.integers(0, len(target))), draw(st.sampled_from(pool)))
+    if pool:
+        target = draw(st.sampled_from([zb] + [part for block in blocks for part in block]))
+        target.insert(draw(st.integers(0, len(target))), draw(st.sampled_from(pool)))
     return n, zb, blocks
 
 
