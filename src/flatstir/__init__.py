@@ -22,7 +22,6 @@ from .errors import (
     NotFlattenedError,
     NotStirlingError,
     NotTypeBError,
-    SeriesPrecisionError,
     SyntaxFormatError,
     TableFormatError,
     WordSyntaxError,

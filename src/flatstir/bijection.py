@@ -146,7 +146,7 @@ def generate_flattened_from_partitions(
         raise ValueError("n must be positive")
     check_budget(dowling(n - 1), budget, f"generating flat words of order {n}")
     for letters in iter_flattened_letters(n):
-        yield StirlingWord(letters, 2)
+        yield StirlingWord._trusted(letters, 2)
 
 
 def iter_flattened_letters(n: int) -> Iterator[tuple[int, ...]]:

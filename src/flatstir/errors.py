@@ -105,16 +105,6 @@ class NotTypeBError(DomainError):
         super().__init__(f"not a type B set partition (condition {condition}): {message}")
 
 
-class SeriesPrecisionError(FlatstirError):
-    """A series value that cannot be certified as an integer.
-
-    Kept as an exported name only: nothing raises it now, since
-    ``flatm_series`` sums its series exactly in integers.
-    """
-
-    exit_code = 1
-
-
 class CacheCoherenceError(FlatstirError):
     """A cached count disagrees with its re-derivation."""
 

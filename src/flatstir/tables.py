@@ -98,7 +98,7 @@ def flat_k_table(
 
     Only the run distribution comes from ``mode``: ``filter`` walks the
     insertion tree pruned to flattened words (the default budget caps
-    |Q_n| at n = 9; order 9 takes under a second), ``bijection``
+    |Q_n| at n = 9; order 9 takes about 0.1 s), ``bijection``
     enumerates the flattened words through the partition correspondence
     (feasible to about n = 11).  The |Q_n| column is the product formula.
     """

@@ -38,6 +38,15 @@ w[g-1] <= w[g]) and the next leader to its right, so the child is
 flattened iff w[g] is at most that next leader, and has one more run.
 The pruned walk thus visits only flattened words and their children, for
 every m, and yields the flattened words in the order of the full stream.
+
+Counting the words of the last order needs none of them built.  By the
+same cases, a flattened w with r >= 1 runs has exactly r flattened
+children with r runs (the end gap and the r - 1 descents) and one with
+r + 1 runs for each gap inside a run whose letter is at most the next
+leader; the empty word has one child, with one run.  Each child's run
+count is fixed by its parent alone, so the counts by run number at
+order n are tallied from the flattened words of order n - 1 by one scan
+of each, and the walk builds no word of order n.
 """
 
 from __future__ import annotations
@@ -54,9 +63,11 @@ from .formulas import mstirling_count
 # Insertion order at which the walks split into tasks.
 SPLIT_ORDER = 3
 # Smallest |Q_n^m| for which count_stirling_stats starts a process pool.
-# The pruned walk visits far fewer children than |Q_n^m|: 59k at
-# (n, m) = (6, 5), where starting a pool costs more than the walk, and
-# 757k at (7, 5), where 2 workers beat 1.
+# The pruned walk visits far fewer children than |Q_n^m|, and tallies the
+# last order unbuilt.  Serial against 2 workers on 2 CPUs: about 0.01 s
+# against 0.02-0.03 s at (n, m) = (6, 5), 0.07-0.11 s either way at
+# (7, 5), (8, 3) and (9, 2), and 0.7-0.8 s against 0.55-0.7 s at (10, 2),
+# above the default budget.
 POOL_MIN_WORDS = 10_000_000
 
 
@@ -119,6 +130,18 @@ class StirlingWord:
         reason = _stirling_violation(self.letters, self.multiplicity)
         if reason is not None:
             raise NotStirlingError(reason)
+
+    @classmethod
+    def _trusted(cls, letters: tuple[int, ...], multiplicity: int) -> "StirlingWord":
+        """Wrap a letter tuple that is an m-Stirling word by construction, unchecked.
+
+        Only for generators whose output is valid by construction; every
+        other path goes through the validating constructor.
+        """
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        object.__setattr__(word, "multiplicity", multiplicity)
+        return word
 
     @property
     def order(self) -> int:
@@ -217,7 +240,7 @@ def generate_flattened_filter(
     """The flattened subsequence of ``generate_stirling``, from the pruned walk."""
     _check_budget(n, m, budget)
     for letters, _ in _walk_flat((), 0, n, m, StirlingStats(n, m)):
-        yield StirlingWord(letters, m)
+        yield StirlingWord._trusted(letters, m)
 
 
 @dataclass
@@ -284,13 +307,46 @@ def _walk_flat(
         yield from _walk_flat(word[:gap] + block + word[gap:], child_runs, stop, m, stats)
 
 
+def _tally_children(word: tuple[int, ...], runs: int, by_runs: dict[int, int]) -> None:
+    """Add the flattened children of ``word`` to ``by_runs`` by run count.
+
+    The children are counted, not built: the gap scan of ``_flat_gaps``
+    without the list (see the module docstring).  ``word`` is flattened
+    with ``runs`` runs.
+    """
+    if not word:
+        by_runs[1] = by_runs.get(1, 0) + 1
+        return
+    added = 0
+    next_leader = math.inf
+    right = word[-1]
+    for left in word[-2::-1]:
+        if left > right:
+            next_leader = right
+        elif right <= next_leader:
+            added += 1
+        right = left
+    # the end gap and the runs - 1 descents keep the run count
+    by_runs[runs] = by_runs.get(runs, 0) + runs
+    if added:
+        by_runs[runs + 1] = by_runs.get(runs + 1, 0) + added
+
+
 def _walk_stats(prefix: tuple[int, ...], runs: int, n: int, m: int) -> StirlingStats:
-    """Pruned-walk counts for the order-n descendants of the flattened ``prefix``."""
+    """Pruned-walk counts for the order-n descendants of the flattened ``prefix``.
+
+    The walk stops one order short of n and tallies the last order's
+    flattened words from their parents' gaps, without building them.
+    """
     stats = StirlingStats(n, m)
     by_runs = stats.flat_by_runs
-    for _, k in _walk_flat(prefix, runs, n, m, stats):
-        stats.flat_total += 1
-        by_runs[k] = by_runs.get(k, 0) + 1
+    if len(prefix) == n * m:
+        by_runs[runs] = 1
+    else:
+        for word, k in _walk_flat(prefix, runs, n - 1, m, stats):
+            stats.visited += len(word) + 1
+            _tally_children(word, k, by_runs)
+    stats.flat_total = sum(by_runs.values())
     return stats
 
 
@@ -311,7 +367,9 @@ def count_stirling_stats(
 ) -> StirlingStats:
     """|Q_n^m| by formula; its flattened words, and those by run count, by the pruned walk.
 
-    The walk visits only flattened words and their children.  The budget
+    The walk visits only flattened words and their children, and stops at
+    order n - 1: the order-n words are tallied by run count from their
+    parents' gaps, never built (``visited`` still counts them).  The budget
     caps |Q_n^m|, which is also ``total``.  The walk splits at order
     ``SPLIT_ORDER`` and sums the counts below each flattened prefix there
     (an associative reduction, so the split cannot change the result).

@@ -27,6 +27,7 @@ from flatstir.words import (
     format_word,
     generate_flattened_filter,
     is_flattened,
+    is_stirling,
     parse_word,
     run_decomposition,
 )
@@ -150,6 +151,13 @@ class TestFastGenerator:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             next(generate_flattened_from_partitions(12))
+
+    def test_unchecked_words_are_valid(self):
+        # the stream skips validation: each word must still be a Stirling word
+        for n in range(1, 8):
+            for w in generate_flattened_from_partitions(n):
+                assert is_stirling(w.letters, 2)
+                assert w == StirlingWord(w.letters, 2)
 
 
 class TestMaxRunsWitness:

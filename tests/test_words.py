@@ -6,7 +6,11 @@ from hypothesis import given, strategies as st
 from flatstir import words as words_module
 from flatstir.errors import BudgetExceededError, NotStirlingError, WordSyntaxError
 from flatstir.words import (
+    SPLIT_ORDER,
+    StirlingStats,
     StirlingWord,
+    _tally_children,
+    _walk_flat,
     count_stirling_stats,
     descent_count,
     format_word,
@@ -17,6 +21,7 @@ from flatstir.words import (
     parse_word,
     pool_size,
     run_decomposition,
+    run_starts,
 )
 
 from brute_force import scan_stirling_stats
@@ -264,6 +269,33 @@ class TestGenerators:
             for n in range(0, 6):
                 full = [w for w in generate_stirling(n, m) if is_flattened(w)]
                 assert list(generate_flattened_filter(n, m)) == full, (n, m)
+
+    def test_last_order_tally_matches_built_children(self):
+        # the tally that replaces the last order, at every node of the walk
+        for m, n_max in [(1, 6), (2, 8), (3, 7), (4, 7)]:
+            for v in range(n_max):
+                for word, runs in _walk_flat((), 0, v, m, StirlingStats(v, m)):
+                    tally: dict[int, int] = {}
+                    _tally_children(word, runs, tally)
+                    built: dict[int, int] = {}
+                    for child, k in _walk_flat(word, runs, v + 1, m, StirlingStats(v + 1, m)):
+                        assert k == len(run_starts(child))
+                        built[k] = built.get(k, 0) + 1
+                    assert tally == built, (word, m)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_pruned_matches_brute_force_through_the_split(self, m):
+        # n <= SPLIT_ORDER: the walk's prefixes are already at order n
+        for n in range(SPLIT_ORDER + 2):
+            assert_same_counts(count_stirling_stats(n, m), scan_stirling_stats(n, m))
+
+    def test_unchecked_words_are_valid(self):
+        # the pruned stream skips validation: each word must still be a Stirling word
+        for m in (1, 2, 3):
+            for n in range(8):
+                for w in generate_flattened_filter(n, m):
+                    assert is_stirling(w.letters, m)
+                    assert w == StirlingWord(w.letters, m)
 
     def test_flattened_words_start_with_one(self):
         for n in range(1, 6):
