@@ -32,6 +32,7 @@ from .formulas import (
     flat2_closed,
     flat2_recurrence,
     flat3_conjecture,
+    flatm_counts,
     flatm_recurrence,
     flatm_series,
     max_runs,
@@ -42,11 +43,7 @@ from .formulas import (
 )
 from .tables import (
     CountTable,
-    build_cache,
-    check_cache,
-    clear_cache,
     flat_k_table,
-    load_cache,
     mstirling_table,
     table1_csv,
     table2_csv,

@@ -95,12 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oeis.add_argument("--bfile", default=None, help="b-file path (default: bundled fixture)")
     p_oeis.add_argument("--max-terms", type=int, default=None)
 
-    p_cache = sub.add_parser("cache", help="build, check or clear the count cache")
-    p_cache.add_argument("action", choices=["build", "check", "clear"])
-    p_cache.add_argument("--path", required=True)
-    p_cache.add_argument("--max-n", type=int, default=10)
-    p_cache.add_argument("--max-m", type=int, default=5)
-
     return parser
 
 
@@ -112,7 +106,6 @@ _MINIMUMS = {
     "table": {"max_n": 1, "max_m": 2, "threads": 1},
     "verify": {"max_n": 1, "threads": 1},
     "oeis": {"max_terms": 1},
-    "cache": {"max_m": 2},
 }
 
 
@@ -177,19 +170,8 @@ def _cmd_table(args) -> int:
             print("the m-fold table supports --mode filter or formula", file=sys.stderr)
             return 2
         _check_table_size(args, args.max_m - 1)
-        table = tables.mstirling_table(
-            args.max_n, args.max_m, mode=mode, budget=args.budget, workers=args.threads
-        )
-        text = (
-            tables.table2_csv(table, args.max_n, args.max_m)
-            if args.format == "csv"
-            else tables.table_to_json(table)
-        )
     else:
         mode = args.mode or "bijection"
-        if mode == "formula":
-            print("the run-count table supports --mode filter or bijection", file=sys.stderr)
-            return 2
         if args.max_k is not None and args.max_k < max_runs(args.max_n):
             print(
                 f"error: --max-k {args.max_k} would drop nonzero cells: "
@@ -198,12 +180,28 @@ def _cmd_table(args) -> int:
             )
             return 2
         _check_table_size(args, 2 + (args.max_k or max_runs(args.max_n)))
-        table = tables.flat_k_table(args.max_n, mode=mode, budget=args.budget, workers=args.threads)
-        text = (
-            tables.table1_csv(table, args.max_n, args.max_k)
-            if args.format == "csv"
-            else tables.table_to_json(table)
+    if mode == "formula" and (
+        args.max_n > tables.FORMULA_MAX_ORDER
+        or args.mstirling and args.max_m > tables.FORMULA_MAX_MULTIPLICITY
+    ):
+        print(
+            f"error: --mode formula takes --max-n up to {tables.FORMULA_MAX_ORDER} "
+            f"and --max-m up to {tables.FORMULA_MAX_MULTIPLICITY}",
+            file=sys.stderr,
         )
+        return 2
+    if args.mstirling:
+        table = tables.mstirling_table(
+            args.max_n, args.max_m, mode=mode, budget=args.budget, workers=args.threads
+        )
+    else:
+        table = tables.flat_k_table(args.max_n, mode=mode, budget=args.budget, workers=args.threads)
+    if args.format == "json":
+        text = tables.table_to_json(table)
+    elif args.mstirling:
+        text = tables.table2_csv(table, args.max_n, args.max_m)
+    else:
+        text = tables.table1_csv(table, args.max_n, args.max_k)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -250,20 +248,6 @@ def _cmd_oeis(args) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_cache(args) -> int:
-    if args.action == "build":
-        table = tables.build_cache(args.path, max_n=args.max_n, max_m=args.max_m)
-        print(f"wrote {len(table.entries)} entries to {args.path}")
-        return 0
-    if args.action == "check":
-        checked = tables.check_cache(args.path)
-        print(f"checked {checked} entries: coherent")
-        return 0
-    removed = tables.clear_cache(args.path)
-    print(f"removed {args.path}" if removed else f"nothing to remove at {args.path}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -277,7 +261,6 @@ def main(argv: list[str] | None = None) -> int:
         "table": _cmd_table,
         "verify": _cmd_verify,
         "oeis": _cmd_oeis,
-        "cache": _cmd_cache,
     }
     try:
         code = handlers[args.command](args)

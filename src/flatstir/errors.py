@@ -17,7 +17,7 @@ class FlatstirError(Exception):
 
 
 class SyntaxFormatError(FlatstirError):
-    """Malformed textual input (word, partition, b-file, CSV, cache JSON)."""
+    """Malformed textual input (word, partition, b-file, CSV, count-table JSON)."""
 
     exit_code = 2
 
@@ -106,7 +106,7 @@ class NotTypeBError(DomainError):
 
 
 class CacheCoherenceError(FlatstirError):
-    """A cached count disagrees with its re-derivation."""
+    """A count-table entry disagrees with a second derivation of the same key."""
 
     exit_code = 1
 
@@ -115,5 +115,5 @@ class CacheCoherenceError(FlatstirError):
         self.cached = cached
         self.derived = derived
         super().__init__(
-            f"cache entry {entry_key} holds {cached} but re-derivation gives {derived}"
+            f"count-table entry {entry_key} holds {cached} but re-derivation gives {derived}"
         )

@@ -160,28 +160,32 @@ def mstirling_count(n: int, m: int) -> int:
     return prod(i * m + 1 for i in range(n))
 
 
-def flatm_recurrence(n: int, m: int) -> int:
-    """Count of flattened m-Stirling words of order n, via the conjectured recurrence.
+def flatm_counts(n_max: int, m: int) -> list[int]:
+    """Counts of flattened m-Stirling words of orders 0..n_max, via the conjectured recurrence.
 
     The recurrence b(j) = (m-1)*b(j-1) + sum_{k=1}^{j} C(j-1,k-1) * m^(k-1) * b(j-k),
     b(0) = 1, produces the count for order j+1 (reading b(j) as the
     order-j count would give m at order 1 instead of the correct 1), so
-    the count for order n is b(n-1); the empty word gives 1 at n = 0.
-    At m = 2 this reproduces ``dowling(n - 1)``.
+    the count for order n >= 1 is b(n-1); the empty word gives 1 at
+    n = 0.  One pass builds the whole column.  At m = 2 this reproduces
+    ``dowling(n - 1)``.
     """
-    if n < 0:
+    if n_max < 0:
         raise ValueError("n must be nonnegative")
     if m < 2:
         raise ValueError("m must be at least 2")
-    if n == 0:
-        return 1
     b = [1]
-    for j in range(1, n):
+    for j in range(1, n_max):
         b.append(
             (m - 1) * b[j - 1]
             + sum(comb(j - 1, k - 1) * m ** (k - 1) * b[j - k] for k in range(1, j + 1))
         )
-    return b[n - 1]
+    return [1] + b[:n_max]
+
+
+def flatm_recurrence(n: int, m: int) -> int:
+    """Count of flattened m-Stirling words of order n: the last term of ``flatm_counts(n, m)``."""
+    return flatm_counts(n, m)[n]
 
 
 def flatm_series(n: int, m: int) -> int:

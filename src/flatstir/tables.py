@@ -1,22 +1,24 @@
-"""Count tables: exhaustive/bijection table builders, CSV and JSON forms, cache.
+"""Count tables: the run-count and m-fold table builders, CSV and JSON forms.
 
 A ``CountTable`` maps (kind, n, m, k) to an exact count plus the
 provenance of that number:
 
-* ``formula``     -- closed form or recurrence; every |Q_n^m| entry
-  (kind ``stirling``) is one, in every table mode,
+* ``formula``     -- closed form or recurrence: every |Q_n^m| entry
+  (kind ``stirling``) in every table mode, and every entry of a
+  ``formula``-mode table,
 * ``enumeration`` -- flattened words counted one by one (the pruned
   filter walk or the partition images),
-* ``cached``      -- read from an earlier file: a parsed CSV, or a cache
-  entry outside the range of the build that carried it over.
-
-The count cache derives every entry by formula, and re-derives every
-entry it reads (``_derive_entries``), up to order ``CACHE_MAX_ORDER``
-and multiplicity ``CACHE_MAX_MULTIPLICITY``.
+* ``cached``      -- read back from a parsed CSV table.
 
 Kinds: ``stirling`` (|Q_n^m|), ``flat`` (flattened doubled words),
-``flat_k`` (flattened doubled words with k runs), ``typeb`` (partition
-counts), ``mstirling_flat`` (flattened m-fold words).
+``flat_k`` (flattened doubled words with k runs), ``mstirling_flat``
+(flattened m-fold words).  The type B partitions of [-n, n] are counted
+by ``flat`` at order n + 1.
+
+``formula`` mode is the one formula path: ``flat_k_table`` takes every
+row from one ``run_distributions`` call and ``mstirling_table`` each m
+column from one ``flatm_counts`` pass.  The CLI builds formula tables up
+to order ``FORMULA_MAX_ORDER`` and multiplicity ``FORMULA_MAX_MULTIPLICITY``.
 
 The JSON document is versioned and stores counts as decimal strings so
 arbitrary precision survives serialization:
@@ -32,20 +34,24 @@ re-emitting it is byte-identical.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from .bijection import iter_flattened_letters
 from .errors import DEFAULT_BUDGET, CacheCoherenceError, TableFormatError, check_budget
-from .formulas import dowling, flatm_recurrence, max_runs, mstirling_count, run_distributions
+from .formulas import dowling, flatm_counts, max_runs, mstirling_count, run_distributions
 from .words import count_stirling_stats, run_starts
 
-KINDS = ("stirling", "flat", "flat_k", "typeb", "mstirling_flat")
+KINDS = ("stirling", "flat", "flat_k", "mstirling_flat")
 PROVENANCES = ("formula", "enumeration", "cached")
 
 Key = tuple[str, int, int | None, int | None]
+
+# Largest order and multiplicity of a formula-mode table.  At order 200
+# the slowest derivation, run_distributions, takes about two seconds.
+FORMULA_MAX_ORDER = 200
+FORMULA_MAX_MULTIPLICITY = 20
 
 
 @dataclass
@@ -100,8 +106,16 @@ def flat_k_table(
     insertion tree pruned to flattened words (the default budget caps
     |Q_n| at n = 9; order 9 takes about 0.1 s), ``bijection``
     enumerates the flattened words through the partition correspondence
-    (feasible to about n = 11).  The |Q_n| column is the product formula.
+    (feasible to about n = 11), and ``formula`` takes every row from one
+    ``run_distributions(n_max)`` call (order 200 in about two seconds).
+    The |Q_n| column is the product formula.  The two enumerations fill
+    their ``flat`` and ``flat_k`` entries with provenance
+    ``enumeration``, the formula with ``formula``.
     """
+    if mode not in ("filter", "bijection", "formula"):
+        raise ValueError(f"unknown mode {mode!r} (expected 'filter', 'bijection' or 'formula')")
+    rows = run_distributions(n_max) if mode == "formula" and n_max >= 1 else {}
+    provenance = "formula" if mode == "formula" else "enumeration"
     table = CountTable()
     for n in range(1, n_max + 1):
         if mode == "filter":
@@ -109,11 +123,11 @@ def flat_k_table(
         elif mode == "bijection":
             by_runs = count_runs_via_bijection(n, budget=budget)
         else:
-            raise ValueError(f"unknown mode {mode!r} (expected 'filter' or 'bijection')")
+            by_runs = rows[n]
         table.put("stirling", n, 2, None, mstirling_count(n, 2), "formula")
-        table.put("flat", n, 2, None, sum(by_runs.values()), "enumeration")
+        table.put("flat", n, 2, None, sum(by_runs.values()), provenance)
         for k, cnt in sorted(by_runs.items()):
-            table.put("flat_k", n, 2, k, cnt, "enumeration")
+            table.put("flat_k", n, 2, k, cnt, provenance)
     return table
 
 
@@ -126,20 +140,23 @@ def mstirling_table(
 ) -> CountTable:
     """Fill flattened m-fold counts for 1 <= n <= n_max, 2 <= m <= m_max.
 
-    ``filter`` is the pruned insertion walk (also records |Q_n^m| by its
-    product formula); ``formula`` evaluates the recurrence.
+    ``filter`` is the pruned insertion walk; ``formula`` evaluates the
+    recurrence, one ``flatm_counts`` pass per m.  Both modes record
+    |Q_n^m| by its product formula.
     """
+    if mode == "formula":
+        columns = {m: flatm_counts(n_max, m) for m in range(2, m_max + 1)}
+    elif mode != "filter":
+        raise ValueError(f"unknown mode {mode!r} (expected 'filter' or 'formula')")
     table = CountTable()
     for n in range(1, n_max + 1):
         for m in range(2, m_max + 1):
+            table.put("stirling", n, m, None, mstirling_count(n, m), "formula")
             if mode == "filter":
                 stats = count_stirling_stats(n, m, budget=budget, workers=workers)
-                table.put("stirling", n, m, None, mstirling_count(n, m), "formula")
                 table.put("mstirling_flat", n, m, None, stats.flat_total, "enumeration")
-            elif mode == "formula":
-                table.put("mstirling_flat", n, m, None, flatm_recurrence(n, m), "formula")
             else:
-                raise ValueError(f"unknown mode {mode!r} (expected 'filter' or 'formula')")
+                table.put("mstirling_flat", n, m, None, columns[m][n], "formula")
     return table
 
 
@@ -290,108 +307,3 @@ def table_from_json(text: str) -> CountTable:
         except ValueError as exc:
             raise TableFormatError(f"entry {i}: {exc}") from None
     return table
-
-
-# ------------------------------------------------------------------- cache
-
-
-# Largest order and multiplicity of a cache entry.  At order 200 the
-# slowest derivation, run_distributions, takes about two seconds.
-CACHE_MAX_ORDER = 200
-CACHE_MAX_MULTIPLICITY = 20
-
-
-def _derive_entries(keys: list[Key]) -> Iterator[tuple[Key, int]]:
-    """Yield (key, its count by formula) for each key in turn.
-
-    The run distributions of every order come from one call of
-    ``run_distributions``, for the largest ``flat_k`` order, made when the
-    first ``flat_k`` key is reached.  A key outside its kind's domain, or
-    above the cache bounds, is a format error.
-    """
-    top = max((n for kind, n, _, _ in keys if kind == "flat_k" and n <= CACHE_MAX_ORDER), default=0)
-    distributions: dict[int, dict[int, int]] | None = None
-    for key in keys:
-        kind, n, m, k = key
-        if n > CACHE_MAX_ORDER or (m or 0) > CACHE_MAX_MULTIPLICITY:
-            raise TableFormatError(
-                f"cache entry {key} is above the largest cached order {CACHE_MAX_ORDER} "
-                f"or multiplicity {CACHE_MAX_MULTIPLICITY}"
-            )
-        if kind == "typeb" and n >= 0 and m is None and k is None:
-            yield key, dowling(n)
-        elif kind == "stirling" and n >= 0 and m is not None and m >= 1 and k is None:
-            yield key, mstirling_count(n, m)
-        elif kind == "flat" and n >= 1 and m == 2 and k is None:
-            yield key, dowling(n - 1)
-        elif kind == "mstirling_flat" and n >= 0 and m is not None and m >= 2 and k is None:
-            yield key, flatm_recurrence(n, m)
-        elif kind == "flat_k" and n >= 1 and m == 2 and k is not None and k >= 1:
-            if distributions is None:
-                distributions = run_distributions(top)
-            yield key, distributions[n].get(k, 0)
-        else:
-            raise TableFormatError(f"cache entry {key} is outside the domain of {kind!r}")
-
-
-def build_cache(path: str, max_n: int = 10, max_m: int = 5) -> CountTable:
-    """Derive every count in range by formula and write the cache to ``path``.
-
-    Orders run to ``max_n``, multiplicities to ``max_m`` and run counts k
-    to ``max_runs(n)``, whose counts are all nonzero; a range above the
-    cache bounds is a format error.  An existing file is loaded first,
-    which re-derives each of its entries (a contradiction fails loudly);
-    its entries outside the fresh range are carried over with provenance
-    ``cached``.
-    """
-    if max_n > CACHE_MAX_ORDER or max_m > CACHE_MAX_MULTIPLICITY:
-        raise TableFormatError(
-            f"the cache holds orders up to {CACHE_MAX_ORDER} and multiplicities up to "
-            f"{CACHE_MAX_MULTIPLICITY}; asked for orders to {max_n} and multiplicities to {max_m}"
-        )
-    keys = [("typeb", n, None, None) for n in range(max_n + 1)]
-    for n in range(1, max_n + 1):
-        keys.append(("flat", n, 2, None))
-        for m in range(2, max_m + 1):
-            keys += [("stirling", n, m, None), ("mstirling_flat", n, m, None)]
-        keys += [("flat_k", n, 2, k) for k in range(1, max_runs(n) + 1)]
-    fresh = CountTable()
-    for key, count in _derive_entries(keys):
-        fresh.put(*key, count, "formula")
-    if os.path.exists(path):
-        for key, (count, _provenance) in load_cache(path).entries.items():
-            fresh.entries.setdefault(key, (count, "cached"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(table_to_json(fresh))
-    return fresh
-
-
-def load_cache(path: str) -> CountTable:
-    """Read a cache file; every entry is re-derived by formula and must agree.
-
-    The first contradiction raises CacheCoherenceError naming the entry.
-    """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise TableFormatError(f"{path} is not UTF-8 text ({exc.reason})") from None
-    table = table_from_json(text)
-    for key, derived in _derive_entries(table.sorted_keys()):
-        count = table.entries[key][0]
-        if derived != count:
-            raise CacheCoherenceError(key, count, derived)
-    return table
-
-
-def check_cache(path: str) -> int:
-    """Re-derive every cached entry (see ``load_cache``); returns the number checked."""
-    return len(load_cache(path).entries)
-
-
-def clear_cache(path: str) -> bool:
-    """Remove the cache file; missing file is a successful no-op."""
-    if os.path.exists(path):
-        os.remove(path)
-        return True
-    return False

@@ -12,8 +12,10 @@ Each suite re-derives a family of facts two ways and compares:
   recurrence, and the series (summed exactly as an r-Whitney sum; its
   case labels keep the name "certified series") against the frozen
   reference;
-* ``conjectures`` -- the three-run formula against enumerated counts,
-  and the m-fold recurrence/series/count identities.
+* ``conjectures`` -- the three-run formula against enumerated counts;
+  the three-run formula, the two-run recurrence and the maximal run
+  count against the run-distribution recurrence to order 100; and the
+  m-fold recurrence/series/count identities.
 
 Reports are deterministic apart from the clearly marked elapsed field.
 """
@@ -34,6 +36,7 @@ from .formulas import (
     flatm_series,
     max_runs,
     mstirling_count,
+    run_distributions,
 )
 
 
@@ -243,6 +246,16 @@ def verify_conjectures(max_n: int = 10, budget: int = words.DEFAULT_BUDGET) -> V
             if flat2_recurrence(n) != reference.TABLE1[n][2].get(2, 0)
         ),
     )
+    rows = run_distributions(100)  # every order to 100 in about 0.25 s
+    for description, formula, read in [
+        ("three-run formula vs run-distribution column 3", flat3_conjecture,
+         lambda row: row.get(3, 0)),
+        ("two-run recurrence vs run-distribution column 2", flat2_recurrence,
+         lambda row: row.get(2, 0)),
+        ("maximal run count vs largest run count of each run-distribution row", max_runs, max),
+    ]:
+        mismatches = sum(1 for n, row in rows.items() if formula(n) != read(row))
+        report.add(f"{description}, n<=100", 0, mismatches)
     report.add(
         "m-fold recurrence vs certified series over the reference grid",
         0,

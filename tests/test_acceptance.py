@@ -287,7 +287,7 @@ def test_criterion_13_round_trips_and_fuzz(flat_words):
         parsed, got_n, got_k = tables.parse_table1_csv(text)
         assert tables.table1_csv(parsed, got_n, got_k) == text
         fuzzed += 1
-    for _ in range(2500):  # cache JSON
+    for _ in range(2500):  # count-table JSON
         table, _, _ = _random_table(rng)
         text = tables.table_to_json(table)
         parsed = tables.table_from_json(text)

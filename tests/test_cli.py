@@ -1,5 +1,6 @@
 """End-to-end CLI behavior, including the exit-code contract."""
 
+import argparse
 import json
 import os
 import resource
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from flatstir.cli import main
+from flatstir.cli import build_parser, main
 from flatstir.errors import BudgetExceededError
 from flatstir.reference import PAIRS_ORDER4, TABLE1
 
@@ -134,9 +135,11 @@ class TestTable:
         assert path.read_text().startswith("n,|Q_n|,|flat|")
 
     def test_invalid_mode_combination(self, capsys):
-        code, _, err = run_cli(capsys, "table", "--max-n", "3", "--mode", "formula",
+        """Only the m-fold table refuses a mode: it has no partition images."""
+        code, out, _ = run_cli(capsys, "table", "--max-n", "3", "--mode", "formula",
                                "--threads", "1")
-        assert code == 2
+        assert code == 0
+        assert out == run_cli(capsys, "table", "--max-n", "3", "--mode", "bijection")[1]
         code, _, err = run_cli(capsys, "table", "--mstirling", "--max-n", "3",
                                "--mode", "bijection", "--threads", "1")
         assert code == 2
@@ -195,49 +198,6 @@ class TestOeis:
         assert code == 2
 
 
-class TestCache:
-    def test_build_check_clear_cycle(self, capsys, tmp_path):
-        path = str(tmp_path / "cache.json")
-        code, out, _ = run_cli(capsys, "cache", "build", "--path", path,
-                               "--max-n", "5")
-        assert code == 0 and "entries" in out
-        code, out, _ = run_cli(capsys, "cache", "check", "--path", path)
-        assert code == 0 and "coherent" in out
-        code, out, _ = run_cli(capsys, "cache", "clear", "--path", path)
-        assert code == 0 and "removed" in out
-        code, out, _ = run_cli(capsys, "cache", "clear", "--path", path)
-        assert code == 0 and "nothing" in out
-
-    def test_tampered_check_exit_1(self, capsys, tmp_path):
-        path = str(tmp_path / "cache.json")
-        run_cli(capsys, "cache", "build", "--path", path, "--max-n", "4")
-        doc = json.loads(open(path).read())
-        for entry in doc["entries"]:
-            if entry["kind"] == "flat" and entry["n"] == 4:
-                entry["count"] = "23"
-        open(path, "w").write(json.dumps(doc))
-        code, _, err = run_cli(capsys, "cache", "check", "--path", path)
-        assert code == 1 and "flat" in err
-
-    def test_default_check_covers_the_default_build(self, capsys, tmp_path):
-        """A changed flat_k row of the largest default order fails the default check."""
-        path = str(tmp_path / "cache.json")
-        run_cli(capsys, "cache", "build", "--path", path)
-        doc = json.loads(open(path).read())
-        for entry in doc["entries"]:
-            if entry["kind"] == "flat_k" and entry["n"] == 10 and entry["k"] == 3:
-                entry["count"] = str(int(entry["count"]) + 1)
-        open(path, "w").write(json.dumps(doc))
-        code, out, err = run_cli(capsys, "cache", "check", "--path", path)
-        assert code == 1 and out == ""
-        assert err.startswith("error: cache entry ('flat_k', 10, 2, 3) holds 69843 ")
-
-    def test_check_missing_file(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "cache", "check", "--path",
-                               str(tmp_path / "none.json"))
-        assert code == 2
-
-
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -248,6 +208,30 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["table"])
         assert err.value.code == 2
+
+    def test_removed_cache_command_is_a_usage_error(self):
+        """``cache`` is gone: ``table --mode formula --format json`` writes every count it held."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "flatstir.cli", "cache", "build", "--path", "cache.json"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "invalid choice: 'cache'" in proc.stderr
+
+    def test_readme_synopsis_names_every_command(self):
+        """The README's CLI block has one ``flatstir <command>`` line per subcommand."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## CLI\n", 1)[1].split("```\n")[1]
+        documented = {
+            line.split()[1] for line in block.splitlines() if line.startswith("flatstir ")
+        }
+        commands = next(
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert documented == set(commands)
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -263,6 +247,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
         ["table", "--max-n", "0"],
         ["table", "--max-n", "3", "--max-m", "1"],
         ["table", "--mstirling", "--max-n", "3", "--max-m", "1"],
+        # the removed cache command: argparse rejects the command itself
         ["cache", "check", "--path", "absent.json", "--max-m", "1"],
         ["oeis", "dowling", "--max-terms", "0"],
         ["oeis", "dowling", "--max-terms", "-1"],
@@ -351,11 +336,7 @@ def test_huge_block_family_is_canonicalized_in_bounded_memory():
     [
         ["table", "--max-n", "2", "--output", "{dir}"],
         ["oeis", "dowling", "--bfile", "{dir}"],
-        ["cache", "check", "--path", "{dir}"],
-        ["cache", "build", "--path", "{dir}", "--max-n", "2"],
         ["oeis", "dowling", "--bfile", "{binary}"],
-        ["cache", "check", "--path", "{binary}"],
-        ["cache", "build", "--path", "{binary}", "--max-n", "2"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -377,100 +358,29 @@ def test_unusable_path_exits_2_without_traceback(argv, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "entry",
+    "argv",
     [
-        {"kind": "typeb", "n": -1, "m": None, "k": None},
-        {"kind": "flat_k", "n": 0, "m": 2, "k": 1},
-        {"kind": "stirling", "n": 3, "m": None, "k": None},
+        ["table", "--mstirling", "--mode", "formula", "--max-n", "200", "--max-m", "100000"],
+        ["table", "--mstirling", "--max-n", "3", "--max-m", "21"],
+        ["table", "--mstirling", "--max-n", "201"],
+        ["table", "--mode", "formula", "--max-n", "201"],
+        ["table", "--mode", "formula", "--max-n", "5000", "--format", "json"],
     ],
-    ids=lambda entry: f"{entry['kind']} n={entry['n']} m={entry['m']}",
+    ids=["max-m 100000", "max-m 21", "m-fold max-n 201", "max-n 201", "max-n 5000 json"],
 )
-@pytest.mark.parametrize("action", ["check", "build"])
-def test_out_of_domain_cache_entry_exits_2_without_traceback(entry, action, tmp_path):
-    path = tmp_path / "cache.json"
-    text = json.dumps({"version": 1, "entries": [dict(entry, count="1", provenance="formula")]})
-    path.write_text(text)
+def test_formula_table_above_the_bounds_exits_2_before_any_work(argv):
+    """Formula tables stop at order 200 and multiplicity 20, checked before any count."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "flatstir.cli", "cache", action, "--path", str(path)],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-m", "flatstir.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=30, preexec_fn=cap_memory,
     )
     assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: cache entry ") and proc.stderr.count("\n") == 1
+    assert proc.stderr == "error: --mode formula takes --max-n up to 200 and --max-m up to 20\n"
     assert proc.stdout == ""
-    assert path.read_text() == text
-
-
-TOO_LONG = [
-    # a bare number: the JSON decoder refuses it
-    ('{"version": 1, "entries": [{"kind": "typeb", "n": 1' + "0" * 5000
-     + ', "m": null, "k": null, "count": "1", "provenance": "formula"}]}',
-     "error: invalid JSON: a number has more than 4300 digits\n"),
-    # a count string: int() refuses it
-    ('{"version": 1, "entries": [{"kind": "typeb", "n": 1, "m": null, "k": null, "count": "1'
-     + "0" * 5000 + '", "provenance": "formula"}]}',
-     "error: entry 0: count has 5001 digits, more than 4300\n"),
-]
-
-
-@pytest.mark.parametrize("action", ["check", "build"])
-def test_cache_integer_too_long_to_convert_exits_2_without_traceback(action, tmp_path):
-    path = tmp_path / "cache.json"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    env.pop("PYTHONINTMAXSTRDIGITS", None)
-    for text, message in TOO_LONG:
-        path.write_text(text)
-        proc = subprocess.run(
-            [sys.executable, "-m", "flatstir.cli", "cache", action, "--path", str(path)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert "set_int_max_str_digits" not in proc.stderr
-        assert proc.stderr == message
-        assert proc.stdout == ""
-        assert path.read_text() == text
-
-
-@pytest.mark.parametrize(
-    "entry",
-    [
-        {"kind": "flat_k", "n": 201, "m": 2, "k": 1},
-        {"kind": "flat_k", "n": 10**5, "m": 2, "k": 1},
-        {"kind": "typeb", "n": 10**6, "m": None, "k": None},
-        {"kind": "mstirling_flat", "n": 10**5, "m": 5, "k": None},
-        {"kind": "stirling", "n": 3, "m": 21, "k": None},
-        {"kind": "stirling", "n": 3, "m": 10**9, "k": None},
-    ],
-    ids=lambda entry: f"{entry['kind']} n={entry['n']} m={entry['m']}",
-)
-@pytest.mark.parametrize("action", ["check", "build"])
-def test_cache_entry_above_the_bounds_exits_2_fast(entry, action, tmp_path):
-    path = tmp_path / "cache.json"
-    text = json.dumps({"version": 1, "entries": [dict(entry, count="1", provenance="formula")]})
-    path.write_text(text)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "flatstir.cli", "cache", action, "--path", str(path)],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: cache entry ") and proc.stderr.count("\n") == 1
-    assert "above the largest cached order 200 or multiplicity 20" in proc.stderr
-    assert proc.stdout == ""
-    assert path.read_text() == text
-
-
-@pytest.mark.parametrize(
-    "flag, value", [("--max-n", "201"), ("--max-m", "21"), ("--max-m", "1000000000")]
-)
-def test_cache_build_range_above_the_bounds_exits_2(capsys, tmp_path, flag, value):
-    path = tmp_path / "cache.json"
-    code, out, err = run_cli(capsys, "cache", "build", "--path", str(path), flag, value)
-    assert code == 2 and out == ""
-    assert err.startswith("error: the cache holds orders up to 200 and multiplicities up to 20")
-    assert not path.exists()
 
 
 @pytest.mark.parametrize(

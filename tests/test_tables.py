@@ -1,21 +1,25 @@
-"""Count tables: builder modes, CSV/JSON round trips, cache coherence."""
+"""Count tables: builder modes, the formula tables, CSV/JSON round trips."""
 
 import json
+import sys
 
 import pytest
 
 from flatstir import tables
 from flatstir.errors import CacheCoherenceError, TableFormatError
-from flatstir.formulas import mstirling_count, run_distributions
+from flatstir.formulas import (
+    dowling,
+    flatm_recurrence,
+    max_runs,
+    mstirling_count,
+    run_distribution,
+    run_distributions,
+)
 from flatstir.reference import TABLE1, TABLE2
 from flatstir.tables import (
     CountTable,
-    build_cache,
-    check_cache,
-    clear_cache,
     count_runs_via_bijection,
     flat_k_table,
-    load_cache,
     mstirling_table,
     parse_table1_csv,
     parse_table2_csv,
@@ -39,10 +43,25 @@ class TestBuilders:
                     assert table.get("flat_k", n, 2, k) == cnt
 
     def test_modes_differ_only_in_the_run_distribution(self):
-        """Both modes fill the same entries, provenance included: |Q_n| is the formula."""
-        filt = flat_k_table(7, mode="filter")
-        assert filt.entries == flat_k_table(7, mode="bijection").entries
+        """Every mode fills the same entries; |Q_n| is the formula in each.
+
+        The enumerations agree entry for entry, provenance included.  The
+        formula table has the filter walk's counts for n <= 9 and the
+        partition images' counts for n <= 10, each with provenance formula.
+        """
+        filt = flat_k_table(9, mode="filter")
+        bij = flat_k_table(10, mode="bijection")
+        form = flat_k_table(10, mode="formula")
+
+        def upto(table, n_max, provenance=False):
+            return {key: entry if provenance else entry[0]
+                    for key, entry in table.entries.items() if key[1] <= n_max}
+
+        assert filt.entries == upto(bij, 9, provenance=True)
         assert filt.entries[("stirling", 7, 2, None)] == (135_135, "formula")
+        assert upto(form, 9) == upto(filt, 9)
+        assert upto(form, 10) == upto(bij, 10)
+        assert {provenance for _, provenance in form.entries.values()} == {"formula"}
 
     def test_flat_k_row_sums(self):
         table = flat_k_table(7, mode="bijection")
@@ -61,7 +80,16 @@ class TestBuilders:
                     == form.get("mstirling_flat", n, m)
                     == TABLE2[(n, m)]
                 )
-                assert filt.entries[("stirling", n, m, None)] == (mstirling_count(n, m), "formula")
+                for table in (filt, form):
+                    assert table.entries[("stirling", n, m, None)] == (
+                        mstirling_count(n, m), "formula"
+                    )
+
+    def test_formula_columns_equal_the_recurrence_per_cell(self):
+        table = mstirling_table(30, 6, mode="formula")
+        for n in range(1, 31):
+            for m in range(2, 7):
+                assert table.get("mstirling_flat", n, m) == flatm_recurrence(n, m), (n, m)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -165,74 +193,69 @@ class TestJson:
         with pytest.raises(TableFormatError):
             table_from_json(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a bare number: the JSON decoder refuses it
+            ('{"version": 1, "entries": [{"kind": "flat", "n": 1' + "0" * 5000
+             + ', "m": 2, "k": null, "count": "1", "provenance": "formula"}]}',
+             "invalid JSON: a number has more than 4300 digits"),
+            # a count string: int() refuses it
+            ('{"version": 1, "entries": [{"kind": "flat", "n": 1, "m": 2, "k": null, "count": "1'
+             + "0" * 5000 + '", "provenance": "formula"}]}',
+             "entry 0: count has 5001 digits, more than 4300"),
+        ],
+        ids=["bare number", "count string"],
+    )
+    def test_integer_too_long_to_convert_is_a_format_error(self, text, message):
+        """Python's own message, which advises sys.set_int_max_str_digits(), never shows."""
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python converts integers of any length")
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(TableFormatError) as err:
+                table_from_json(text)
+        finally:
+            sys.set_int_max_str_digits(old_limit)
+        assert str(err.value) == message
+
     def test_invalid_json_text(self):
         with pytest.raises(TableFormatError):
             table_from_json("{not json")
 
 
-class TestCache:
-    def test_build_then_check(self, tmp_path):
-        path = str(tmp_path / "counts.json")
-        table = build_cache(path, max_n=5, max_m=3)
-        assert table.get("typeb", 4) == 116
-        assert table.get("flat_k", 5, 2, 3) == 70
-        assert check_cache(path) == len(table.entries)
+def old_cache_entries(max_n, max_m):
+    """The keys of the retired ``cache build`` with each count by its formula.
 
-    def test_tampered_value_is_named(self, tmp_path):
-        path = str(tmp_path / "counts.json")
-        build_cache(path, max_n=4, max_m=2)
-        doc = json.loads(open(path).read())
-        for entry in doc["entries"]:
-            if entry["kind"] == "flat_k" and entry["n"] == 4 and entry["k"] == 3:
-                entry["count"] = "9999"
-        open(path, "w").write(json.dumps(doc))
-        with pytest.raises(CacheCoherenceError, match=r"flat_k.*4"):
-            check_cache(path)
+    ``typeb`` counted the type B partitions of [-n, n], which ``flat``
+    counts at order n + 1.
+    """
+    entries = {("typeb", n, None, None): dowling(n) for n in range(max_n + 1)}
+    for n in range(1, max_n + 1):
+        entries[("flat", n, 2, None)] = dowling(n - 1)
+        for m in range(2, max_m + 1):
+            entries[("stirling", n, m, None)] = mstirling_count(n, m)
+            entries[("mstirling_flat", n, m, None)] = flatm_recurrence(n, m)
+        for k in range(1, max_runs(n) + 1):
+            entries[("flat_k", n, 2, k)] = run_distribution(n)[k]
+    return entries
 
-    def test_tampered_flat_k_of_the_largest_order_is_named(self, tmp_path):
-        """check re-derives every flat_k row, not only the small orders."""
-        path = str(tmp_path / "counts.json")
-        build_cache(path, max_n=9, max_m=2)
-        doc = json.loads(open(path).read())
-        for entry in doc["entries"]:
-            if entry["kind"] == "flat_k" and entry["n"] == 9 and entry["k"] == 3:
-                entry["count"] = str(int(entry["count"]) + 1)
-        open(path, "w").write(json.dumps(doc))
-        named = r"\('flat_k', 9, 2, 3\) holds 20995 but re-derivation gives 20994"
-        with pytest.raises(CacheCoherenceError, match=named):
-            check_cache(path)
 
-    def test_every_built_entry_is_a_formula(self, tmp_path):
-        path = str(tmp_path / "counts.json")
-        table = build_cache(path, max_n=7, max_m=3)
-        assert {prov for _, prov in table.entries.values()} == {"formula"}
-        for n in range(1, 8):
-            row = {k: c for (kind, nn, _, k), (c, _) in table.entries.items()
-                   if kind == "flat_k" and nn == n}
-            assert row == TABLE1[n][2]
+class TestFormulaTables:
+    def test_every_count_of_the_old_cache_is_a_formula_table_entry(self):
+        entries = old_cache_entries(10, 5)
+        assert len(entries) == 141
+        runs = flat_k_table(11, mode="formula")
+        folds = mstirling_table(10, 5, mode="formula")
+        for (kind, n, m, k), count in entries.items():
+            if kind == "typeb":
+                assert runs.entries[("flat", n + 1, 2, None)] == (count, "formula"), n
+            else:
+                table = folds if kind == "mstirling_flat" or m != 2 else runs
+                assert table.entries[(kind, n, m, k)] == (count, "formula"), (kind, n, m, k)
 
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            {"kind": "typeb", "n": -1, "m": None, "k": None},
-            {"kind": "flat_k", "n": 0, "m": 2, "k": 1},
-            {"kind": "flat_k", "n": 3, "m": 3, "k": 1},
-            {"kind": "flat_k", "n": 3, "m": 2, "k": None},
-            {"kind": "stirling", "n": 3, "m": None, "k": None},
-            {"kind": "flat", "n": 3, "m": 2, "k": 1},
-            {"kind": "mstirling_flat", "n": 3, "m": 1, "k": None},
-        ],
-    )
-    def test_out_of_domain_entry_is_a_format_error(self, tmp_path, entry):
-        path = str(tmp_path / "counts.json")
-        doc = {"version": 1, "entries": [dict(entry, count="1", provenance="formula")]}
-        open(path, "w").write(json.dumps(doc))
-        with pytest.raises(TableFormatError, match="outside the domain"):
-            check_cache(path)
-        with pytest.raises(TableFormatError, match="outside the domain"):
-            build_cache(path, max_n=2, max_m=2)
-
-    def test_each_order_is_derived_once_per_build_and_per_check(self, tmp_path, monkeypatch):
+    def test_a_formula_table_calls_run_distributions_once(self, monkeypatch):
         calls = []
 
         def counted(n_max):
@@ -240,45 +263,12 @@ class TestCache:
             return run_distributions(n_max)
 
         monkeypatch.setattr(tables, "run_distributions", counted)
-        path = str(tmp_path / "counts.json")
-        build_cache(path, max_n=12, max_m=2)
+        table = flat_k_table(12, mode="formula")
         assert calls == [12]
-        calls.clear()
-        check_cache(path)
-        assert calls == [12]
+        assert table.get("flat", 12, 2) == dowling(11)
 
-    def test_entries_at_the_bounds_are_derived(self, tmp_path):
-        path = str(tmp_path / "counts.json")
-        doc = {"version": 1, "entries": [
-            {"kind": "stirling", "n": 200, "m": 20, "k": None,
-             "count": str(mstirling_count(200, 20)), "provenance": "formula"},
-        ]}
-        open(path, "w").write(json.dumps(doc))
-        assert check_cache(path) == 1
-
-    def test_tampered_formula_value_fails_on_load(self, tmp_path):
-        path = str(tmp_path / "counts.json")
-        build_cache(path, max_n=4, max_m=2)
-        doc = json.loads(open(path).read())
-        for entry in doc["entries"]:
-            if entry["kind"] == "typeb" and entry["n"] == 3:
-                entry["count"] = "25"
-        open(path, "w").write(json.dumps(doc))
-        with pytest.raises(CacheCoherenceError):
-            load_cache(path)
-
-    def test_rebuild_preserves_and_checks_overlap(self, tmp_path):
-        path = str(tmp_path / "counts.json")
-        build_cache(path, max_n=6, max_m=4)
-        rebuilt = build_cache(path, max_n=4, max_m=2)
-        # entries outside the fresh range are carried over, marked cached
-        assert rebuilt.get("typeb", 6) == 4088
-        assert rebuilt.entries[("typeb", 6, None, None)][1] == "cached"
-        assert rebuilt.entries[("typeb", 3, None, None)][1] == "formula"
-
-    def test_clear_is_noop_when_missing(self, tmp_path):
-        path = str(tmp_path / "counts.json")
-        assert clear_cache(path) is False
-        build_cache(path, max_n=2, max_m=2)
-        assert clear_cache(path) is True
-        assert clear_cache(path) is False
+    def test_stirling_entries_at_the_bounds(self):
+        top, m_top = tables.FORMULA_MAX_ORDER, tables.FORMULA_MAX_MULTIPLICITY
+        table = mstirling_table(top, m_top, mode="formula")
+        assert table.get("stirling", top, m_top) == mstirling_count(top, m_top)
+        assert table.get("mstirling_flat", top, 2) == dowling(top - 1)
