@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from flatstir import tables
+from flatstir import tables, verify
 from flatstir.errors import CacheCoherenceError, TableFormatError
 from flatstir.formulas import (
     dowling,
@@ -242,7 +242,60 @@ def old_cache_entries(max_n, max_m):
     return entries
 
 
-class TestFormulaTables:
+def checked_against(text, fresh):
+    """Read a JSON count table and put every entry of ``fresh`` into it.
+
+    A disagreeing entry raises ``CacheCoherenceError`` naming its key.
+    """
+    table = table_from_json(text)
+    for (kind, n, m, k), (count, provenance) in fresh.entries.items():
+        table.put(kind, n, m, k, count, provenance)
+    return table
+
+
+def tampered(table, key, count):
+    doc = json.loads(table_to_json(table))
+    for entry in doc["entries"]:
+        if (entry["kind"], entry["n"], entry["m"], entry["k"]) == key:
+            entry["count"] = str(count)
+    return json.dumps(doc)
+
+
+class TestCache:
+    """The counts of the retired ``cache`` command, now the formula tables."""
+
+    def test_build_then_check(self):
+        runs = flat_k_table(5, mode="formula")
+        folds = mstirling_table(5, 3, mode="formula")
+        assert runs.get("flat", 5, 2) == 116  # the old typeb entry at order 4
+        assert runs.get("flat_k", 5, 2, 3) == 70
+        for table in (runs, folds):
+            assert checked_against(table_to_json(table), table).entries == table.entries
+
+    def test_tampered_value_is_named(self):
+        table = flat_k_table(4, mode="formula")
+        text = tampered(table, ("flat_k", 4, 2, 3), 9999)
+        with pytest.raises(CacheCoherenceError, match=r"flat_k.*4"):
+            checked_against(text, table)
+
+    def test_tampered_flat_k_of_the_largest_order_is_named(self):
+        """Every flat_k row is compared, not only the small orders."""
+        table = flat_k_table(9, mode="formula")
+        text = tampered(table, ("flat_k", 9, 2, 3), table.get("flat_k", 9, 2, 3) + 1)
+        named = r"\('flat_k', 9, 2, 3\) holds 20995 but re-derivation gives 20994"
+        with pytest.raises(CacheCoherenceError, match=named):
+            checked_against(text, table)
+
+    def test_every_built_entry_is_a_formula(self):
+        runs = flat_k_table(7, mode="formula")
+        folds = mstirling_table(7, 3, mode="formula")
+        for table in (runs, folds):
+            assert {prov for _, prov in table.entries.values()} == {"formula"}
+        for n in range(1, 8):
+            row = {k: c for (kind, nn, _, k), (c, _) in runs.entries.items()
+                   if kind == "flat_k" and nn == n}
+            assert row == TABLE1[n][2]
+
     def test_every_count_of_the_old_cache_is_a_formula_table_entry(self):
         entries = old_cache_entries(10, 5)
         assert len(entries) == 141
@@ -255,7 +308,8 @@ class TestFormulaTables:
                 table = folds if kind == "mstirling_flat" or m != 2 else runs
                 assert table.entries[(kind, n, m, k)] == (count, "formula"), (kind, n, m, k)
 
-    def test_a_formula_table_calls_run_distributions_once(self, monkeypatch):
+    def test_each_order_is_derived_once_per_build_and_per_check(self, monkeypatch):
+        """A formula table and ``verify conjectures`` each make one run_distributions call."""
         calls = []
 
         def counted(n_max):
@@ -263,12 +317,21 @@ class TestFormulaTables:
             return run_distributions(n_max)
 
         monkeypatch.setattr(tables, "run_distributions", counted)
+        monkeypatch.setattr(verify, "run_distributions", counted)
         table = flat_k_table(12, mode="formula")
         assert calls == [12]
         assert table.get("flat", 12, 2) == dowling(11)
+        calls.clear()
+        assert verify.verify_conjectures(max_n=3).passed
+        assert calls == [100]
 
-    def test_stirling_entries_at_the_bounds(self):
+    def test_entries_at_the_bounds_are_derived(self):
         top, m_top = tables.FORMULA_MAX_ORDER, tables.FORMULA_MAX_MULTIPLICITY
         table = mstirling_table(top, m_top, mode="formula")
         assert table.get("stirling", top, m_top) == mstirling_count(top, m_top)
         assert table.get("mstirling_flat", top, 2) == dowling(top - 1)
+        doc = {"version": 1, "entries": [
+            {"kind": "stirling", "n": top, "m": m_top, "k": None,
+             "count": str(mstirling_count(top, m_top)), "provenance": "formula"},
+        ]}
+        assert len(checked_against(json.dumps(doc), table).entries) == len(table.entries)
