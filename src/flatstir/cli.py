@@ -29,17 +29,6 @@ def _add_budget(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_threads(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes for exhaustive counting, used only for scans of at least "
-        f"{words.POOL_MIN_WORDS} words and capped at the available CPUs "
-        "(default: available parallelism)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flatstir",
@@ -78,13 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--max-m", type=int, default=5)
     p_table.add_argument("--output", default=None, help="write here instead of stdout")
     _add_budget(p_table)
-    _add_threads(p_table)
+    # ignored, and hidden from --help; bench/passes.py still sends it
+    p_table.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite", choices=list(verify.SUITES))
     p_verify.add_argument("--max-n", type=int, default=None)
     _add_budget(p_verify)
-    _add_threads(p_verify)
 
     p_oeis = sub.add_parser("oeis", help="cross-check a computed prefix against a b-file")
     p_oeis.add_argument(
@@ -104,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 _MINIMUMS = {
     "gen": {"n": 0, "m": 1},
     "table": {"max_n": 1, "max_m": 2, "threads": 1},
-    "verify": {"max_n": 1, "threads": 1},
+    "verify": {"max_n": 1},
     "oeis": {"max_terms": 1},
 }
 
@@ -169,6 +158,9 @@ def _cmd_table(args) -> int:
         if mode == "bijection":
             print("the m-fold table supports --mode filter or formula", file=sys.stderr)
             return 2
+        if args.max_k is not None:
+            print("error: --max-k applies to the run-count table, not --mstirling", file=sys.stderr)
+            return 2
         _check_table_size(args, args.max_m - 1)
     else:
         mode = args.mode or "bijection"
@@ -191,11 +183,9 @@ def _cmd_table(args) -> int:
         )
         return 2
     if args.mstirling:
-        table = tables.mstirling_table(
-            args.max_n, args.max_m, mode=mode, budget=args.budget, workers=args.threads
-        )
+        table = tables.mstirling_table(args.max_n, args.max_m, mode=mode, budget=args.budget)
     else:
-        table = tables.flat_k_table(args.max_n, mode=mode, budget=args.budget, workers=args.threads)
+        table = tables.flat_k_table(args.max_n, mode=mode, budget=args.budget)
     if args.format == "json":
         text = tables.table_to_json(table)
     elif args.mstirling:
@@ -211,9 +201,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = verify.run_suite(
-        args.suite, max_n=args.max_n, budget=args.budget, workers=args.threads
-    )
+    reports = verify.run_suite(args.suite, max_n=args.max_n, budget=args.budget)
     for report in reports:
         sys.stdout.write(report.render())
     return 0 if all(r.passed for r in reports) else 1

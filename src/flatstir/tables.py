@@ -49,7 +49,8 @@ PROVENANCES = ("formula", "enumeration", "cached")
 Key = tuple[str, int, int | None, int | None]
 
 # Largest order and multiplicity of a formula-mode table.  At order 200
-# the slowest derivation, run_distributions, takes about two seconds.
+# `table --mode formula` takes about three seconds (2.5-3.3 s on 2 CPUs),
+# nearly all of it in run_distributions.
 FORMULA_MAX_ORDER = 200
 FORMULA_MAX_MULTIPLICITY = 20
 
@@ -94,12 +95,7 @@ def count_runs_via_bijection(n: int, budget: int = DEFAULT_BUDGET) -> dict[int, 
     return by_runs
 
 
-def flat_k_table(
-    n_max: int,
-    mode: str = "bijection",
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
-) -> CountTable:
+def flat_k_table(n_max: int, mode: str = "bijection", budget: int = DEFAULT_BUDGET) -> CountTable:
     """Fill |Q_n|, |flat|, and the flat_k distribution for 1 <= n <= n_max.
 
     Only the run distribution comes from ``mode``: ``filter`` walks the
@@ -107,7 +103,7 @@ def flat_k_table(
     |Q_n| at n = 9; order 9 takes about 0.1 s), ``bijection``
     enumerates the flattened words through the partition correspondence
     (feasible to about n = 11), and ``formula`` takes every row from one
-    ``run_distributions(n_max)`` call (order 200 in about two seconds).
+    ``run_distributions(n_max)`` call (order 200 in about three seconds).
     The |Q_n| column is the product formula.  The two enumerations fill
     their ``flat`` and ``flat_k`` entries with provenance
     ``enumeration``, the formula with ``formula``.
@@ -119,7 +115,7 @@ def flat_k_table(
     table = CountTable()
     for n in range(1, n_max + 1):
         if mode == "filter":
-            by_runs = count_stirling_stats(n, 2, budget=budget, workers=workers).flat_by_runs
+            by_runs = count_stirling_stats(n, 2, budget=budget).flat_by_runs
         elif mode == "bijection":
             by_runs = count_runs_via_bijection(n, budget=budget)
         else:
@@ -132,11 +128,7 @@ def flat_k_table(
 
 
 def mstirling_table(
-    n_max: int,
-    m_max: int = 5,
-    mode: str = "formula",
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
+    n_max: int, m_max: int = 5, mode: str = "formula", budget: int = DEFAULT_BUDGET
 ) -> CountTable:
     """Fill flattened m-fold counts for 1 <= n <= n_max, 2 <= m <= m_max.
 
@@ -153,7 +145,7 @@ def mstirling_table(
         for m in range(2, m_max + 1):
             table.put("stirling", n, m, None, mstirling_count(n, m), "formula")
             if mode == "filter":
-                stats = count_stirling_stats(n, m, budget=budget, workers=workers)
+                stats = count_stirling_stats(n, m, budget=budget)
                 table.put("mstirling_flat", n, m, None, stats.flat_total, "enumeration")
             else:
                 table.put("mstirling_flat", n, m, None, columns[m][n], "formula")
@@ -202,7 +194,9 @@ def _from_csv(
 
     The header must name ``columns_for(width)``: a mismatch in its first
     ``fixed`` cells is an unexpected header, one in the rest ``mismatch``.
-    Run-count cells (columns with a k) are stored only when nonzero.
+    Data row i must have n = i, as ``_to_csv`` writes them, so n_max is
+    the number of rows.  Run-count cells (columns with a k) are stored
+    only when nonzero.
     """
     lines = [ln for ln in text.split("\n") if ln]
     if not lines:
@@ -215,20 +209,21 @@ def _from_csv(
     if header != expected:
         raise TableFormatError(f"{mismatch} {lines[0]!r}")
     table = CountTable()
-    n_max = 0
-    for row_no, line in enumerate(lines[1:], start=2):
+    for n, line in enumerate(lines[1:], start=1):
+        row_no = n + 1
         cells = line.split(",")
         if len(cells) != len(header):
             raise TableFormatError(f"row {row_no}: expected {len(header)} cells")
         try:
-            n, *counts = map(int, cells)
+            found, *counts = map(int, cells)
         except ValueError:
             raise TableFormatError(f"row {row_no}: non-integer cell") from None
-        n_max = max(n_max, n)
+        if found != n:
+            raise TableFormatError(f"row {row_no}: expected n = {n}, found {found}")
         for (_, kind, m, k), count in zip(columns, counts):
             if count or k is None:
                 table.put(kind, n, m, k, count, "cached")
-    return table, n_max, len(header)
+    return table, len(lines) - 1, len(header)
 
 
 def parse_table1_csv(text: str) -> tuple[CountTable, int, int]:

@@ -17,7 +17,9 @@ Each suite re-derives a family of facts two ways and compares:
   count against the run-distribution recurrence to order 100; and the
   m-fold recurrence/series/count identities.
 
-Reports are deterministic apart from the clearly marked elapsed field.
+Each suite takes an order bound and the enumeration budget, and runs in
+this process: the exhaustive scans are the serial pruned walk.  Reports
+are deterministic apart from the clearly marked elapsed field.
 """
 
 from __future__ import annotations
@@ -172,9 +174,7 @@ def _row_text(total: int, flat: int, by_runs: dict[int, int]) -> str:
     return f"total={total} flat={flat} {ks}"
 
 
-def verify_table1(
-    max_n: int = 7, budget: int = words.DEFAULT_BUDGET, workers: int = 1
-) -> VerificationReport:
+def verify_table1(max_n: int = 7, budget: int = words.DEFAULT_BUDGET) -> VerificationReport:
     report = VerificationReport("table1")
     start = time.monotonic()
     for n in range(1, min(max_n, 10) + 1):
@@ -182,7 +182,7 @@ def verify_table1(
         expected = _row_text(total, flat, by_runs)
         if mstirling_count(n, 2) <= budget:
             def filter_row(n=n):
-                stats = words.count_stirling_stats(n, 2, budget=budget, workers=workers)
+                stats = words.count_stirling_stats(n, 2, budget=budget)
                 return _row_text(stats.total, stats.flat_total, stats.flat_by_runs)
 
             _guard(report, f"n={n}: exhaustive filter row", expected, filter_row)
@@ -197,7 +197,7 @@ def verify_table1(
 
 
 def verify_table2(
-    max_n: int = 5, max_m: int = 5, budget: int = words.DEFAULT_BUDGET, workers: int = 1
+    max_n: int = 5, max_m: int = 5, budget: int = words.DEFAULT_BUDGET
 ) -> VerificationReport:
     report = VerificationReport("table2")
     start = time.monotonic()
@@ -209,9 +209,7 @@ def verify_table2(
                     report,
                     f"n={n} m={m}: exhaustive flattened count",
                     expected,
-                    lambda n=n, m=m: words.count_stirling_stats(
-                        n, m, budget=budget, workers=workers
-                    ).flat_total,
+                    lambda n=n, m=m: words.count_stirling_stats(n, m, budget=budget).flat_total,
                 )
             report.add(f"n={n} m={m}: recurrence", expected, flatm_recurrence(n, m))
             report.add(f"n={n} m={m}: certified series", expected, flatm_series(n, m))
@@ -274,28 +272,25 @@ def verify_conjectures(max_n: int = 10, budget: int = words.DEFAULT_BUDGET) -> V
     return report
 
 
-# suite -> (default max_n, call taking (max_n, budget, workers))
+# suite -> (default max_n, call taking (max_n, budget))
 _SUITE_CALLS = {
-    "bijection": (6, lambda n, budget, workers: verify_bijection(n, budget)),
-    "runs": (6, lambda n, budget, workers: verify_runs(n, budget)),
+    "bijection": (6, verify_bijection),
+    "runs": (6, verify_runs),
     "table1": (7, verify_table1),
-    "table2": (5, lambda n, budget, workers: verify_table2(n, 5, budget, workers)),
-    "conjectures": (10, lambda n, budget, workers: verify_conjectures(n, budget)),
+    "table2": (5, lambda n, budget: verify_table2(n, 5, budget)),
+    "conjectures": (10, verify_conjectures),
 }
 SUITES = (*_SUITE_CALLS, "all")
 
 
 def run_suite(
-    suite: str,
-    max_n: int | None = None,
-    budget: int = words.DEFAULT_BUDGET,
-    workers: int = 1,
+    suite: str, max_n: int | None = None, budget: int = words.DEFAULT_BUDGET
 ) -> list[VerificationReport]:
     """Run one named suite (or every suite) at its default or requested scale."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     names = list(_SUITE_CALLS) if suite == "all" else [suite]
     return [
-        call(default if max_n is None else max_n, budget, workers)
+        call(default if max_n is None else max_n, budget)
         for default, call in (_SUITE_CALLS[name] for name in names)
     ]

@@ -46,29 +46,19 @@ r + 1 runs for each gap inside a run whose letter is at most the next
 leader; the empty word has one child, with one run.  Each child's run
 count is fixed by its parent alone, so the counts by run number at
 order n are tallied from the flattened words of order n - 1 by one scan
-of each, and the walk builds no word of order n.
+of each, and the walk builds no word of order n.  One serial walk from
+the empty word gives every count; nothing here starts a process.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # unused; bench/passes.py patches the name
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_BUDGET, NotStirlingError, WordSyntaxError, check_budget
 from .formulas import mstirling_count
-
-# Insertion order at which the walks split into tasks.
-SPLIT_ORDER = 3
-# Smallest |Q_n^m| for which count_stirling_stats starts a process pool.
-# The pruned walk visits far fewer children than |Q_n^m|, and tallies the
-# last order unbuilt.  Serial against 2 workers on 2 CPUs: about 0.01 s
-# against 0.02-0.03 s at (n, m) = (6, 5), 0.07-0.11 s either way at
-# (7, 5), (8, 3) and (9, 2), and 0.7-0.8 s against 0.55-0.7 s at (10, 2),
-# above the default budget.
-POOL_MIN_WORDS = 10_000_000
 
 
 def _stirling_violation(letters: Sequence[int], m: int) -> str | None:
@@ -231,7 +221,7 @@ def generate_stirling(n: int, m: int = 2, budget: int = DEFAULT_BUDGET) -> Itera
     """Yield every m-Stirling word of order n exactly once, in insertion order."""
     _check_budget(n, m, budget)
     for letters in _iter_letters_from((), 1, n, m):
-        yield StirlingWord(letters, m)
+        yield StirlingWord._trusted(letters, m)
 
 
 def generate_flattened_filter(
@@ -259,13 +249,6 @@ class StirlingStats:
     flat_total: int = 0
     flat_by_runs: dict[int, int] = field(default_factory=dict)
     visited: int = 0
-
-    def merge(self, other: "StirlingStats") -> None:
-        self.total += other.total
-        self.flat_total += other.flat_total
-        self.visited += other.visited
-        for k, v in other.flat_by_runs.items():
-            self.flat_by_runs[k] = self.flat_by_runs.get(k, 0) + v
 
 
 def _flat_gaps(word: tuple[int, ...], runs: int) -> list[tuple[int, int]]:
@@ -332,63 +315,40 @@ def _tally_children(word: tuple[int, ...], runs: int, by_runs: dict[int, int]) -
         by_runs[runs + 1] = by_runs.get(runs + 1, 0) + added
 
 
-def _walk_stats(prefix: tuple[int, ...], runs: int, n: int, m: int) -> StirlingStats:
-    """Pruned-walk counts for the order-n descendants of the flattened ``prefix``.
+def _walk_stats(n: int, m: int) -> StirlingStats:
+    """Pruned-walk counts for the flattened words of order n, from the empty word.
 
     The walk stops one order short of n and tallies the last order's
     flattened words from their parents' gaps, without building them.
     """
     stats = StirlingStats(n, m)
     by_runs = stats.flat_by_runs
-    if len(prefix) == n * m:
-        by_runs[runs] = 1
+    if n == 0:
+        by_runs[0] = 1
     else:
-        for word, k in _walk_flat(prefix, runs, n - 1, m, stats):
+        for word, k in _walk_flat((), 0, n - 1, m, stats):
             stats.visited += len(word) + 1
             _tally_children(word, k, by_runs)
     stats.flat_total = sum(by_runs.values())
     return stats
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def pool_size(threads: int, tasks: int, cpus: int) -> int:
-    """Worker processes worth starting: no more than requested, tasks, or CPUs."""
-    return min(threads, tasks, cpus)
-
-
 def count_stirling_stats(
-    n: int, m: int = 2, budget: int = DEFAULT_BUDGET, workers: int = 1
+    n: int,
+    m: int = 2,
+    budget: int = DEFAULT_BUDGET,
+    workers: int = 1,  # ignored; bench/passes.py still passes it
 ) -> StirlingStats:
     """|Q_n^m| by formula; its flattened words, and those by run count, by the pruned walk.
 
     The walk visits only flattened words and their children, and stops at
     order n - 1: the order-n words are tallied by run count from their
     parents' gaps, never built (``visited`` still counts them).  The budget
-    caps |Q_n^m|, which is also ``total``.  The walk splits at order
-    ``SPLIT_ORDER`` and sums the counts below each flattened prefix there
-    (an associative reduction, so the split cannot change the result).
-    The prefixes go to a process pool when ``workers`` > 1 and |Q_n^m| is
-    at least ``POOL_MIN_WORDS``, with ``pool_size`` workers; smaller scans
-    take less time than starting a pool.
+    caps |Q_n^m|, which is also ``total``.  The walk is one serial pass.
     """
     projected = _check_budget(n, m, budget)
-    stats = StirlingStats(n, m, total=projected)
-    prefixes = list(_walk_flat((), 0, min(n, SPLIT_ORDER), m, stats))
-    if workers > 1 and projected >= POOL_MIN_WORDS:
-        size = pool_size(workers, len(prefixes), _cpu_count())
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            futures = [pool.submit(_walk_stats, word, runs, n, m) for word, runs in prefixes]
-            parts = [fut.result() for fut in futures]
-    else:
-        parts = [_walk_stats(word, runs, n, m) for word, runs in prefixes]
-    for part in parts:
-        stats.merge(part)
+    stats = _walk_stats(n, m)
+    stats.total = projected
     return stats
 
 

@@ -10,7 +10,18 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 
 from flatstir.errors import DEFAULT_BUDGET
-from flatstir.words import SPLIT_ORDER, StirlingStats, _check_budget, _iter_letters_from
+from flatstir.words import StirlingStats, _check_budget, _iter_letters_from
+
+# Insertion order at which the scan splits into tasks.
+SPLIT_ORDER = 3
+
+
+def _merge(stats: StirlingStats, part: StirlingStats) -> None:
+    """Add the counts of ``part`` to ``stats``."""
+    stats.total += part.total
+    stats.flat_total += part.flat_total
+    for k, v in part.flat_by_runs.items():
+        stats.flat_by_runs[k] = stats.flat_by_runs.get(k, 0) + v
 
 
 def _scan_into(stats: StirlingStats, word: tuple[int, ...]) -> None:
@@ -59,5 +70,5 @@ def scan_stirling_stats(
         parts = [_stats_subtree(prefix, split + 1, n, m) for prefix in prefixes]
     stats = StirlingStats(n, m)
     for part in parts:
-        stats.merge(part)
+        _merge(stats, part)
     return stats

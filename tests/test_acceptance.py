@@ -321,6 +321,23 @@ def test_criterion_13_round_trips_and_fuzz(flat_words):
     for bad in ["", "n,|flat|\n", "n,|Q_n|,|flat|,k=1\n1,1,x,1\n"]:
         with pytest.raises(TableFormatError):
             tables.parse_table1_csv(bad)
+    # data row i must have n = i: no gap, no n <= 0, no repeat, no reordering
+    for parse, header, row1 in [
+        (tables.parse_table1_csv, "n,|Q_n|,|flat|,k=1,k=2", "1,1,1,1,0"),
+        (tables.parse_table2_csv, "n,m=2", "1,1"),
+    ]:
+        width = row1.count(",")
+        for rows, row_no, found in [
+            ([row1, "3" + ",6" * width], 3, 3),
+            ([row1, "0" + ",5" * width], 3, 0),
+            (["-1" + ",5" * width], 2, -1),
+            ([row1, row1], 3, 1),
+            ([row1, "1" + ",2" * width], 3, 1),
+            (["2" + ",6" * width, row1], 2, 2),
+        ]:
+            with pytest.raises(TableFormatError) as err:
+                parse("\n".join([header, *rows]) + "\n")
+            assert str(err.value) == f"row {row_no}: expected n = {row_no - 1}, found {found}"
     good = tables.table_to_json(tables.flat_k_table(2, mode="filter"))
     doc = json.loads(good)
     doc["version"] = 3

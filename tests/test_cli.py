@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import multiprocessing
 import os
 import resource
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from flatstir import words
 from flatstir.cli import build_parser, main
 from flatstir.errors import BudgetExceededError
 from flatstir.reference import PAIRS_ORDER4, TABLE1
@@ -135,7 +137,7 @@ class TestTable:
         assert path.read_text().startswith("n,|Q_n|,|flat|")
 
     def test_invalid_mode_combination(self, capsys):
-        """Only the m-fold table refuses a mode: it has no partition images."""
+        """Only the m-fold table refuses a mode: it has no partition images, and no k columns."""
         code, out, _ = run_cli(capsys, "table", "--max-n", "3", "--mode", "formula",
                                "--threads", "1")
         assert code == 0
@@ -143,19 +145,36 @@ class TestTable:
         code, _, err = run_cli(capsys, "table", "--mstirling", "--max-n", "3",
                                "--mode", "bijection", "--threads", "1")
         assert code == 2
+        for mode in ("filter", "formula"):
+            code, out, err = run_cli(capsys, "table", "--mstirling", "--max-n", "3",
+                                     "--mode", mode, "--max-k", "4")
+            assert code == 2 and out == ""
+            assert err == "error: --max-k applies to the run-count table, not --mstirling\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--max-n", "7", "--mode", "filter"],
+            ["table", "--mstirling", "--max-n", "6", "--max-m", "5", "--mode", "filter"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_threads_changes_no_output(self, capsys, argv):
+        """``--threads`` is accepted and ignored."""
+        one = run_cli(capsys, *argv, "--threads", "1")
+        two = run_cli(capsys, *argv, "--threads", "2")
+        assert one == two and one[0] == 0
 
 
 class TestVerify:
     def test_pass_suite(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "bijection", "--max-n", "4",
-                               "--threads", "1")
+        code, out, _ = run_cli(capsys, "verify", "bijection", "--max-n", "4")
         assert code == 0
         assert "result: PASS" in out
         assert "order-4 pair fixture" in out
 
     def test_budget_failure_exit_1(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "table1", "--max-n", "5",
-                               "--budget", "10", "--threads", "1")
+        code, out, _ = run_cli(capsys, "verify", "table1", "--max-n", "5", "--budget", "10")
         assert code == 1
         assert "budget" in out
 
@@ -219,6 +238,17 @@ class TestUsage:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert "invalid choice: 'cache'" in proc.stderr
+
+    def test_removed_verify_threads_is_a_usage_error(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "flatstir.cli", "verify", "table1", "--max-n", "2",
+             "--threads", "2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "unrecognized arguments: --threads 2" in proc.stderr
 
     def test_readme_synopsis_names_every_command(self):
         """The README's CLI block has one ``flatstir <command>`` line per subcommand."""
@@ -435,10 +465,22 @@ def test_closed_stdout_exits_0_quietly():
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exits_2(capsys, threads):
-    for argv in (["table", "--max-n", "3"], ["verify", "table1", "--max-n", "2"]):
-        code, out, err = run_cli(capsys, *argv, "--threads", threads)
-        assert code == 2 and out == ""
-        assert err == f"error: --threads must be at least 1, got {threads}\n"
+    code, out, err = run_cli(capsys, "table", "--max-n", "3", "--threads", threads)
+    assert code == 2 and out == ""
+    assert err == f"error: --threads must be at least 1, got {threads}\n"
+
+
+def test_workers_start_no_process(capsys, monkeypatch):
+    """``workers`` and ``--threads`` are ignored: the walk is serial at every size."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(words, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    assert words.count_stirling_stats(7, 5, workers=2) == words.count_stirling_stats(7, 5)
+    code, out, _ = run_cli(capsys, "table", "--mstirling", "--max-n", "7", "--mode", "filter",
+                           "--threads", "2")
+    assert code == 0 and out.splitlines()[7] == "7,4088,25515,96704,276875"
 
 
 def test_max_k_below_max_runs_names_the_maximum(capsys):

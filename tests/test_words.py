@@ -3,10 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from flatstir import words as words_module
 from flatstir.errors import BudgetExceededError, NotStirlingError, WordSyntaxError
 from flatstir.words import (
-    SPLIT_ORDER,
     StirlingStats,
     StirlingWord,
     _tally_children,
@@ -19,29 +17,15 @@ from flatstir.words import (
     is_flattened,
     is_stirling,
     parse_word,
-    pool_size,
     run_decomposition,
     run_starts,
 )
 
-from brute_force import scan_stirling_stats
+from brute_force import SPLIT_ORDER, scan_stirling_stats
 
 
 def W(text: str, m: int = 2) -> StirlingWord:
     return StirlingWord(parse_word(text), m)
-
-
-def record_pools(monkeypatch) -> list[int]:
-    """Swap in a process pool that records the worker count of each pool started."""
-    started: list[int] = []
-
-    class RecordingPool(words_module.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(words_module, "ProcessPoolExecutor", RecordingPool)
-    return started
 
 
 def assert_same_counts(pruned, brute) -> None:
@@ -210,41 +194,10 @@ class TestGenerators:
                 by_runs[k] = by_runs.get(k, 0) + 1
             assert stats.flat_by_runs == by_runs
 
-    def test_stats_parallel_equals_sequential(self, monkeypatch):
-        pools = record_pools(monkeypatch)
-        monkeypatch.setattr(words_module, "POOL_MIN_WORDS", 0)
-        seq = count_stirling_stats(5, 2, workers=1)
-        assert pools == []
-        par = count_stirling_stats(5, 2, workers=2)
-        assert pools == [2]
-        assert (seq.total, seq.flat_total, seq.flat_by_runs, seq.visited) == (
-            par.total,
-            par.flat_total,
-            par.flat_by_runs,
-            par.visited,
-        )
-
-    def test_small_scans_start_no_pool(self, monkeypatch):
-        pools = record_pools(monkeypatch)
-        count_stirling_stats(6, 5, workers=2)
-        count_stirling_stats(7, 2, workers=2)
-        assert pools == []
-
-    def test_pooled_equals_serial_above_threshold(self, monkeypatch):
-        assert 17_873_856 >= words_module.POOL_MIN_WORDS
-        pools = record_pools(monkeypatch)
-        seq = count_stirling_stats(7, 5, workers=1)
-        par = count_stirling_stats(7, 5, workers=2)
-        assert len(pools) == 1
-        assert seq == par
-        # pruning: 756,717 children tried for 17,873,856 words counted
-        assert (seq.total, seq.flat_total, seq.visited) == (17_873_856, 276_875, 756_717)
-
-    def test_pool_size_clamp(self):
-        assert pool_size(64, 30, 2) == 2
-        assert pool_size(2, 30, 8) == 2
-        assert pool_size(8, 6, 16) == 6
-        assert pool_size(1, 6, 4) == 1
+    def test_pooled_equals_serial_above_threshold(self):
+        # one serial walk; pruning: 756,717 children tried for 17,873,856 words counted
+        stats = count_stirling_stats(7, 5)
+        assert (stats.total, stats.flat_total, stats.visited) == (17_873_856, 276_875, 756_717)
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_pruned_matches_brute_force_m1(self, n):
@@ -285,15 +238,20 @@ class TestGenerators:
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_pruned_matches_brute_force_through_the_split(self, m):
-        # n <= SPLIT_ORDER: the walk's prefixes are already at order n
+        # n <= SPLIT_ORDER: the brute-force scan's prefixes are already at order n
         for n in range(SPLIT_ORDER + 2):
             assert_same_counts(count_stirling_stats(n, m), scan_stirling_stats(n, m))
 
     def test_unchecked_words_are_valid(self):
-        # the pruned stream skips validation: each word must still be a Stirling word
+        # both generators skip validation: each word must still be a Stirling word
         for m in (1, 2, 3):
             for n in range(8):
                 for w in generate_flattened_filter(n, m):
+                    assert is_stirling(w.letters, m)
+                    assert w == StirlingWord(w.letters, m)
+        for m, n_max in [(1, 7), (2, 5), (3, 4), (4, 3)]:
+            for n in range(n_max + 1):
+                for w in generate_stirling(n, m):
                     assert is_stirling(w.letters, m)
                     assert w == StirlingWord(w.letters, m)
 
