@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 
 from .errors import DEFAULT_BUDGET, DomainError, NotFlattenedError, check_budget
 from .formulas import dowling
-from .typeb import SignedBlock, TypeBPartition, _iter_typeb_stream, ensure_canonical
+from .typeb import SignedBlock, TypeBPartition, _iter_typeb_stream
 from .words import StirlingWord, is_flattened, leader_drop
 
 
@@ -66,7 +66,6 @@ def partition_to_word(partition: TypeBPartition, verify_output: bool = False) ->
     ``verify_output`` the flattened property is asserted as well (used
     by the verification suites, skipped on production paths).
     """
-    ensure_canonical(partition)
     letters = _word_letters(partition.zero_block, partition.blocks)
     word = StirlingWord(letters, 2)
     if verify_output and not is_flattened(word):
@@ -115,7 +114,7 @@ def word_to_partition(word: StirlingWord) -> TypeBPartition:
         blocks.append(SignedBlock(negatives, positives))
         i = t
     zero_block = blocks.pop().positives
-    return ensure_canonical(TypeBPartition(word.order - 1, zero_block, tuple(reversed(blocks))))
+    return TypeBPartition(word.order - 1, zero_block, tuple(reversed(blocks)))
 
 
 def run_count_from_partition(partition: TypeBPartition) -> int:
@@ -124,7 +123,6 @@ def run_count_from_partition(partition: TypeBPartition) -> int:
     One base run, plus one per block with a nonempty negative part, plus
     one per part (zero-block included) with two or more positives.
     """
-    ensure_canonical(partition)
     from_negatives = sum(1 for b in partition.blocks if b.negatives)
     from_positives = (1 if len(partition.zero_block) >= 2 else 0) + sum(
         1 for b in partition.blocks if len(b.positives) >= 2

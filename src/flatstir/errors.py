@@ -6,6 +6,9 @@ budget exceeded, 4 = domain violation (structurally valid input outside
 an operation's domain).
 """
 
+import sys
+from typing import Callable
+
 # Default cap on the objects one enumeration may visit; see ``check_budget``.
 DEFAULT_BUDGET = 50_000_000
 
@@ -72,6 +75,20 @@ def check_budget(projected: int, budget: int, what: str) -> int:
     if projected > budget:
         raise BudgetExceededError(projected, budget, what)
     return projected
+
+
+def max_str_digits() -> int:
+    """Python's limit on the digits of an int converted from text (0: no limit)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def check_digits(token: str, what: str, error: Callable[[str], FlatstirError]) -> None:
+    """Raise ``error`` naming the limit if ``int()`` refuses a decimal ``token`` for its
+    length; Python's own message advises a setting no CLI option offers."""
+    digits = token[1:] if token.startswith(("+", "-")) else token
+    limit = max_str_digits()
+    if limit and len(digits) > limit and digits.isascii() and digits.isdigit():
+        raise error(f"{what} has {len(digits)} digits, more than {limit}")
 
 
 class DomainError(FlatstirError):

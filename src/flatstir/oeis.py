@@ -15,10 +15,11 @@ Fixture b-files for the four sequences below are bundled under
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from typing import Callable
 
-from .errors import BFileFormatError
+from .errors import BFileFormatError, check_digits
 from .formulas import dowling, flat2_recurrence, flatm_recurrence
 
 
@@ -87,6 +88,8 @@ def parse_bfile(text: str, sequence_id: str = "") -> OeisSequence:
         try:
             index, value = int(fields[0]), int(fields[1])
         except ValueError:
+            for name, field in zip(("index", "value"), fields):
+                check_digits(field, name, partial(BFileFormatError, line_number=line_no))
             raise BFileFormatError(f"non-integer field in {line!r}", line_no) from None
         if terms and index <= terms[-1][0]:
             raise BFileFormatError(

@@ -34,12 +34,12 @@ re-emitting it is byte-identical.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .bijection import iter_flattened_letters
 from .errors import DEFAULT_BUDGET, CacheCoherenceError, TableFormatError, check_budget
+from .errors import check_digits, max_str_digits
 from .formulas import dowling, flatm_counts, max_runs, mstirling_count, run_distributions
 from .words import count_stirling_stats, run_starts
 
@@ -253,11 +253,6 @@ def table_to_json(table: CountTable) -> str:
     return json.dumps({"version": 1, "entries": entries}, indent=2) + "\n"
 
 
-def _max_str_digits() -> int:
-    """Python's limit on the digits of an int converted from text (0: no limit)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 def table_from_json(text: str) -> CountTable:
     try:
         doc = json.loads(text)
@@ -267,7 +262,7 @@ def table_from_json(text: str) -> CountTable:
         # An integer too long to convert.  Python's own message advises
         # sys.set_int_max_str_digits(), which no CLI option offers.
         raise TableFormatError(
-            f"invalid JSON: a number has more than {_max_str_digits()} digits"
+            f"invalid JSON: a number has more than {max_str_digits()} digits"
         ) from None
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise TableFormatError("expected a version-1 count table document")
@@ -284,13 +279,9 @@ def table_from_json(text: str) -> CountTable:
             provenance = entry["provenance"]
         except (TypeError, KeyError) as exc:
             raise TableFormatError(f"entry {i}: missing field {exc}") from None
-        if not isinstance(count_text, str) or not count_text.isdigit():
+        if not isinstance(count_text, str) or not (count_text.isascii() and count_text.isdigit()):
             raise TableFormatError(f"entry {i}: count must be a decimal string")
-        limit = _max_str_digits()
-        if limit and len(count_text) > limit:
-            raise TableFormatError(
-                f"entry {i}: count has {len(count_text)} digits, more than {limit}"
-            )
+        check_digits(count_text, f"entry {i}: count", TableFormatError)
         # JSON true/false are not orders: bool is a subclass of int, so test the type
         if type(n) is not int or not all(v is None or type(v) is int for v in (m, k)):
             raise TableFormatError(f"entry {i}: n/m/k must be integers (m, k may be null)")

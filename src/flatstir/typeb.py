@@ -40,13 +40,8 @@ from itertools import islice
 from operator import lt
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import (
-    DEFAULT_BUDGET,
-    NotCanonicalError,
-    NotTypeBError,
-    PartitionSyntaxError,
-    check_budget,
-)
+from .errors import DEFAULT_BUDGET, NotCanonicalError, NotTypeBError, PartitionSyntaxError
+from .errors import check_budget, check_digits
 from .formulas import dowling
 
 _ELEMENT_RE = re.compile(r"^(?:0|-?[1-9][0-9]*)$")
@@ -76,14 +71,11 @@ class SignedBlock:
 
 @dataclass(frozen=True)
 class TypeBPartition:
-    """Canonical-form candidate; use ``validate_canonical`` to check invariants.
+    """Immutable canonical partition; raises NotCanonicalError on construction otherwise.
 
-    ``ensure_canonical`` and ``parse_partition`` remember a passed check
-    on the instance (a private ``_canonical`` attribute, not a field: it
-    takes no part in equality, hashing or ``repr``), so each instance is
-    checked at most once however many maps it passes through.  That is
-    sound because the instance is frozen and holds tuples of frozen
-    ``SignedBlock``s.  Generated partitions carry no mark.
+    Blocks that are not exact ``SignedBlock``s are copied into
+    ``SignedBlock``s first, so a mutable block cannot change a built
+    partition: it stays canonical, and the maps never check it again.
     """
 
     n: int
@@ -92,7 +84,24 @@ class TypeBPartition:
 
     def __post_init__(self):
         object.__setattr__(self, "zero_block", tuple(self.zero_block))
-        object.__setattr__(self, "blocks", tuple(self.blocks))
+        blocks = (b if type(b) is SignedBlock else SignedBlock(b.negatives, b.positives)
+                  for b in self.blocks)
+        object.__setattr__(self, "blocks", tuple(blocks))
+        ok, diags = validate_canonical(self)
+        if not ok:
+            raise NotCanonicalError(diags)
+
+    @classmethod
+    def _trusted(cls, n: int, zero_block: tuple, blocks: tuple) -> "TypeBPartition":
+        """Wrap parts that are canonical by construction, unchecked (see ``StirlingWord``).
+
+        Only ``generate_typeb`` uses it; every other path validates.
+        """
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "n", n)
+        object.__setattr__(partition, "zero_block", zero_block)
+        object.__setattr__(partition, "blocks", blocks)
+        return partition
 
     def __str__(self) -> str:
         return format_partition(self)
@@ -118,12 +127,13 @@ def validate_canonical(candidate: TypeBPartition) -> tuple[bool, list[Diagnostic
     only when the magnitudes hold one.  Memory stays bounded by the
     input even when ``n`` is huge.
 
-    This function is pure and checks every time.  The maps call it
-    through ``ensure_canonical``, which runs it once per instance.
+    This function is pure, checks every time and takes any object with
+    ``n``, ``zero_block`` and ``blocks``; ``TypeBPartition`` calls it when
+    it is built.
     """
     diags: list[Diagnostic] = []
     zb = candidate.zero_block
-    if not zb or zb[0] != 0 or 0 not in zb:
+    if not zb or zb[0] != 0:
         diags.append(Diagnostic("zero-block-missing-zero", "zero-block must start with 0"))
     if zb and min(zb) < 0:
         diags.append(Diagnostic("zero-block-negative", "zero-block may not contain negatives"))
@@ -190,39 +200,6 @@ def validate_canonical(candidate: TypeBPartition) -> tuple[bool, list[Diagnostic
     return (not diags, diags)
 
 
-def _remember_canonical(partition: TypeBPartition) -> None:
-    """Mark a partition that passed ``validate_canonical`` so it is not checked again.
-
-    Only an exact ``TypeBPartition`` whose blocks are all exact
-    ``SignedBlock``s is marked: both are frozen and hold tuples, so a
-    passed check stays true for the instance's lifetime.  A subclass or
-    a duck-typed block may change, and is checked on every call.
-    """
-    if type(partition) is TypeBPartition and all(
-        type(b) is SignedBlock for b in partition.blocks
-    ):
-        object.__setattr__(partition, "_canonical", True)
-
-
-def ensure_canonical(candidate: TypeBPartition) -> TypeBPartition:
-    """Return ``candidate`` if it is canonical, else raise NotCanonicalError.
-
-    The check runs once per instance: a passed check is remembered on
-    the instance, and later calls return at once.  That is sound because
-    a ``TypeBPartition`` of ``SignedBlock``s is frozen and holds tuples,
-    so it cannot stop being canonical; other blocks are checked on every
-    call (see ``_remember_canonical``).  A new instance, even an equal
-    one, is checked anew, and a failed check is never remembered.
-    """
-    if getattr(candidate, "_canonical", False) is True:
-        return candidate
-    ok, diags = validate_canonical(candidate)
-    if not ok:
-        raise NotCanonicalError(diags)
-    _remember_canonical(candidate)
-    return candidate
-
-
 def block_pair_count(partition: TypeBPartition) -> int:
     """Number of non-zero blocks (= number of block pairs in the full family)."""
     return len(partition.blocks)
@@ -230,7 +207,6 @@ def block_pair_count(partition: TypeBPartition) -> int:
 
 def expand(partition: TypeBPartition) -> list[frozenset[int]]:
     """Rebuild the full block family on [-n, n] from the canonical form."""
-    ensure_canonical(partition)
     zero = frozenset(partition.zero_block) | frozenset(-v for v in partition.zero_block)
     family = [zero]
     for block in partition.blocks:
@@ -285,7 +261,7 @@ def canonicalize(blocks: Iterable[Iterable[int]]) -> TypeBPartition:
         for b in ordered
         if b[0] > 0
     ]
-    return ensure_canonical(TypeBPartition(n, zero_block, signed))
+    return TypeBPartition(n, zero_block, signed)
 
 
 def format_partition(partition: TypeBPartition) -> str:
@@ -323,7 +299,11 @@ def parse_partition(text: str) -> TypeBPartition:
                     f"block {b_idx}, element {t_idx}: expected '0' or '-'? nonzero "
                     f"decimal, found {tok!r}"
                 )
-            v = int(tok)
+            try:
+                v = int(tok)
+            except ValueError:  # the pattern admits the token, so only its length is refused
+                check_digits(tok, f"block {b_idx}, element {t_idx}", PartitionSyntaxError)
+                raise
             if b_idx == 0:
                 zero_block.append(v)
             elif v >= 0:
@@ -337,11 +317,12 @@ def parse_partition(text: str) -> TypeBPartition:
         if b_idx:
             blocks.append(SignedBlock(negatives, positives))
 
-    partition = TypeBPartition(n, zero_block, blocks)
-    ok, diags = validate_canonical(partition)
-    if extra or not ok:
-        raise NotCanonicalError(extra + diags)
-    _remember_canonical(partition)
+    try:
+        partition = TypeBPartition(n, zero_block, blocks)
+    except NotCanonicalError as err:
+        extra += err.diagnostics
+    if extra:
+        raise NotCanonicalError(extra)
     return partition
 
 
@@ -447,4 +428,4 @@ def generate_typeb(n: int, budget: int = DEFAULT_BUDGET) -> Iterator[TypeBPartit
         raise ValueError("n must be nonnegative")
     check_budget(dowling(n), budget, f"generating type B partitions of [-{n}, {n}]")
     for zero_block, blocks in _iter_typeb_stream(n, SignedBlock):
-        yield TypeBPartition(n, zero_block, blocks)
+        yield TypeBPartition._trusted(n, zero_block, blocks)

@@ -57,7 +57,7 @@ from concurrent.futures import ProcessPoolExecutor  # unused; bench/passes.py pa
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DEFAULT_BUDGET, NotStirlingError, WordSyntaxError, check_budget
+from .errors import DEFAULT_BUDGET, NotStirlingError, WordSyntaxError, check_budget, check_digits
 from .formulas import mstirling_count
 
 
@@ -362,7 +362,9 @@ def parse_word(text: str) -> tuple[int, ...]:
     """Parse canonical (space-separated) or compact (digit-string) word text.
 
     The compact form is only legal when every letter is a single digit
-    1..9; multi-digit letters require the canonical form.
+    1..9; multi-digit letters require the canonical form.  Only ASCII
+    digits count, and a letter may not have more digits than ``int()``
+    converts.
     """
     tokens = text.split()
     if not tokens:
@@ -375,7 +377,7 @@ def parse_word(text: str) -> tuple[int, ...]:
                 raise WordSyntaxError(
                     f"character {pos}: letter 0 is invalid (compact form allows digits 1-9 only)"
                 )
-            if not ch.isdigit():
+            if ch not in "123456789":
                 raise WordSyntaxError(
                     f"character {pos}: expected a digit 1-9 in compact word, found {ch!r}"
                 )
@@ -383,9 +385,13 @@ def parse_word(text: str) -> tuple[int, ...]:
         return tuple(letters)
     letters = []
     for pos, tok in enumerate(tokens):
-        if not tok.isdigit() or int(tok) < 1 or (len(tok) > 1 and tok[0] == "0"):
+        if not (tok.isascii() and tok.isdigit()) or tok[0] == "0":
             raise WordSyntaxError(
                 f"token {pos}: expected a positive decimal letter, found {tok!r}"
             )
-        letters.append(int(tok))
+        try:
+            letters.append(int(tok))
+        except ValueError:  # int() refuses a decimal token only for its length
+            check_digits(tok, f"token {pos}", WordSyntaxError)
+            raise
     return tuple(letters)

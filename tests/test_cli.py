@@ -296,6 +296,36 @@ def test_out_of_range_argument_exits_2_without_traceback(argv):
     assert proc.stdout == ""
 
 
+LONG = "7" * 5000  # more digits than int() converts at Python's default limit of 4300
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["map", "psi", f"{LONG} {LONG}"], "token 0 has 5000 digits, more than 4300"),
+        (["map", "phi", f"0 | {LONG}"], "block 1, element 0 has 5000 digits, more than 4300"),
+        (["map", "psi", "1 \u00b2"], "token 1: expected a positive decimal letter, found '\u00b2'"),
+        (["map", "psi", "\u0661\u0661"],
+         "character 0: expected a digit 1-9 in compact word, found '\u0661'"),
+        (["oeis", "dowling", "--bfile", "{path}"], "line 1: value has 5000 digits, more than 4300"),
+    ],
+    ids=["psi long tokens", "phi long token", "psi superscript two", "psi arabic-indic ones",
+         "bfile long value"],
+)
+def test_malformed_number_exits_2_with_one_line(argv, error, tmp_path):
+    """Over-long and non-ASCII digit tokens are syntax errors, not tracebacks."""
+    bfile = tmp_path / "b.txt"
+    bfile.write_text(f"1 {LONG}\n")
+    argv = [str(bfile) if a == "{path}" else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]),
+               PYTHONINTMAXSTRDIGITS="4300", PYTHONIOENCODING="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatstir.cli", *argv],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -3,6 +3,8 @@
 Values are kept small (orders up to 5, no --max-n left at a large
 default) so every example runs in well under a second.  ``table
 --threads`` is drawn too: it is accepted (at least 1) and ignored.
+``map`` text is drawn from ASCII digits, spaces, '-' and '|', two
+non-ASCII digits and a digit run longer than ``int()`` converts.
 File arguments (``--output``, ``--bfile``) are drawn as a missing path,
 a directory, a file of arbitrary bytes or a small version-1 count-table
 document.
@@ -46,8 +48,10 @@ GEN = st.sampled_from(["stirling", "flat", "typeb"]).flatmap(
         optional("--budget", BUDGET),
     )
 )
+# non-ASCII digits (superscript two, Arabic-Indic one) and a run too long for int()
+MAP_PIECES = st.sampled_from(list("0123456789 -|\u00b2\u0661") + ["7" * 4301])
 MAP = st.tuples(
-    st.sampled_from(["phi", "psi"]), st.text(alphabet="0123456789 -|", min_size=0, max_size=12)
+    st.sampled_from(["phi", "psi"]), st.lists(MAP_PIECES, max_size=12).map("".join)
 ).map(lambda pair: ["map", pair[0], pair[1]])
 TABLE = command(
     ["table"],

@@ -2,7 +2,9 @@
 
 ``word_to_partition``, ``_word_letters`` (with the segment helpers it
 calls), ``parse_partition``, ``canonicalize`` and ``_stirling_violation``
-below are the previous implementations, kept unchanged as oracles.  Their
+below are the previous implementations, kept as oracles.  Since the
+partition constructor validates, their last steps build the partition
+directly (the parser checks a plain namespace candidate first).  Their
 outcomes reach users through the CLI: a value, or an error class and its
 text.  The one-pass versions must give the same outcome for every input,
 valid or not.  The one documented exception is the Stirling check's
@@ -39,8 +41,6 @@ from flatstir.typeb import (
     SignedBlock,
     TypeBPartition,
     _ELEMENT_RE,
-    _remember_canonical,
-    ensure_canonical,
     expand,
     format_partition,
     generate_typeb,
@@ -146,7 +146,7 @@ def word_to_partition(word: StirlingWord) -> TypeBPartition:
                 positives=tuple(v - 1 for v in halve(positive_seg)),
             )
         )
-    return ensure_canonical(TypeBPartition(word.order - 1, zero_block, tuple(blocks)))
+    return TypeBPartition(word.order - 1, zero_block, tuple(blocks))
 
 
 def canonicalize(blocks: Iterable[Iterable[int]]) -> TypeBPartition:
@@ -206,7 +206,7 @@ def canonicalize(blocks: Iterable[Iterable[int]]) -> TypeBPartition:
         )
         for b in kept
     )
-    return ensure_canonical(TypeBPartition(n, zero_block, signed))
+    return TypeBPartition(n, zero_block, signed)
 
 
 def parse_partition(text: str) -> TypeBPartition:
@@ -259,12 +259,11 @@ def parse_partition(text: str) -> TypeBPartition:
 
     magnitudes = [abs(v) for vs in parsed for v in vs]
     n = max(magnitudes)
-    partition = TypeBPartition(n, zero_block, tuple(blocks))
-    ok, diags = validate_canonical(partition)
+    candidate = SimpleNamespace(n=n, zero_block=zero_block, blocks=tuple(blocks))
+    ok, diags = validate_canonical(candidate)
     if extra or not ok:
         raise NotCanonicalError(extra + diags)
-    _remember_canonical(partition)
-    return partition
+    return TypeBPartition(n, zero_block, tuple(blocks))
 
 
 def _stirling_violation(letters: Sequence[int], m: int) -> str | None:

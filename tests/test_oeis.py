@@ -34,6 +34,7 @@ class TestParsing:
             ("3 1\n2 1\n", 2),
             ("# only comments\n", None),
             ("", None),
+            pytest.param("0 1\n1 " + "7" * 5000 + "\n", 2, id="value-too-long"),
         ],
     )
     def test_malformed_reports_line(self, bad, line):

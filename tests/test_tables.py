@@ -193,6 +193,16 @@ class TestJson:
         with pytest.raises(TableFormatError):
             table_from_json(text)
 
+    @pytest.mark.parametrize("count", ["\u00b2", "\u0661", "1\u0661"],
+                             ids=["superscript two", "arabic-indic one", "mixed"])
+    def test_count_of_non_ascii_digits_is_a_format_error(self, count):
+        """str.isdigit() accepts these; int() refuses the first and reads the others as 1, 11."""
+        doc = json.loads(table_to_json(flat_k_table(2, mode="filter")))
+        doc["entries"][0].update(count=count)
+        with pytest.raises(TableFormatError) as err:
+            table_from_json(json.dumps(doc))
+        assert str(err.value) == "entry 0: count must be a decimal string"
+
     @pytest.mark.parametrize(
         "text, message",
         [

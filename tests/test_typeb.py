@@ -1,5 +1,7 @@
 """Canonical type B partitions: validation, expansion, generation, text grammar."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -39,45 +41,53 @@ class TestValidation:
         assert ok and not diags
 
     def test_negatives_only_block(self):
-        bad = TypeBPartition(4, (0, 1, 2), (SignedBlock((3, 4), ()),))
-        ok, diags = validate_canonical(bad)
-        assert not ok
-        assert "empty-positives" in {d.code for d in diags}
+        with pytest.raises(NotCanonicalError) as err:
+            TypeBPartition(4, (0, 1, 2), (SignedBlock((3, 4), ()),))
+        assert "empty-positives" in {d.code for d in err.value.diagnostics}
 
     def test_block_order_violation(self):
         # reordering of the 10-element example's blocks must be rejected
-        bad = TypeBPartition(
-            8,
-            (0,),
-            (
-                SignedBlock((8,), (2, 7)),
-                SignedBlock((), (1,)),
-                SignedBlock((), (3, 4, 5, 6)),
-            ),
-        )
-        ok, diags = validate_canonical(bad)
-        assert not ok
-        assert "block-order" in {d.code for d in diags}
+        with pytest.raises(NotCanonicalError) as err:
+            TypeBPartition(
+                8,
+                (0,),
+                (
+                    SignedBlock((8,), (2, 7)),
+                    SignedBlock((), (1,)),
+                    SignedBlock((), (3, 4, 5, 6)),
+                ),
+            )
+        assert "block-order" in {d.code for d in err.value.diagnostics}
+
+    # one candidate (n, zero-block, blocks) per documented diagnostic code
+    DOCUMENTED = {
+        "zero-block-missing-zero": (1, (1,), (SignedBlock((), (0,)),)),
+        "zero-block-negative": (1, (0, -1), ()),
+        "zero-block-order": (2, (0, 2, 1), ()),
+        "bad-magnitude": (1, (0,), (SignedBlock((), (0, 1)),)),
+        "empty-positives": (1, (0,), (SignedBlock((1,), ()),)),
+        "intra-block-order": (2, (0,), (SignedBlock((), (2, 1)),)),
+        "negative-min-rule": (2, (0,), (SignedBlock((1,), (2,)),)),
+        "block-order": (2, (0,), (SignedBlock((), (2,)), SignedBlock((), (1,)))),
+        "duplicate-value": (1, (0, 1), (SignedBlock((), (1,)),)),
+        "coverage-gap": (2, (0,), (SignedBlock((), (2,)),)),
+    }
 
     def test_each_documented_class(self):
-        cases = {
-            "zero-block-missing-zero": TypeBPartition(1, (1,), (SignedBlock((), (0,)),)),
-            "zero-block-negative": TypeBPartition(1, (0, -1), ()),
-            "zero-block-order": TypeBPartition(2, (0, 2, 1), ()),
-            "bad-magnitude": TypeBPartition(1, (0,), (SignedBlock((), (0, 1)),)),
-            "empty-positives": TypeBPartition(1, (0,), (SignedBlock((1,), ()),)),
-            "intra-block-order": TypeBPartition(2, (0,), (SignedBlock((), (2, 1)),)),
-            "negative-min-rule": TypeBPartition(2, (0,), (SignedBlock((1,), (2,)),)),
-            "block-order": TypeBPartition(
-                2, (0,), (SignedBlock((), (2,)), SignedBlock((), (1,)))
-            ),
-            "duplicate-value": TypeBPartition(1, (0, 1), (SignedBlock((), (1,)),)),
-            "coverage-gap": TypeBPartition(2, (0,), (SignedBlock((), (2,)),)),
-        }
-        for code, candidate in cases.items():
+        for code, (n, zero_block, blocks) in self.DOCUMENTED.items():
+            candidate = SimpleNamespace(n=n, zero_block=zero_block, blocks=blocks)
             ok, diags = validate_canonical(candidate)
             assert not ok, code
             assert code in {d.code for d in diags}, code
+
+    @pytest.mark.parametrize("code", sorted(DOCUMENTED))
+    def test_building_raises_the_diagnostics_of_each_documented_class(self, code):
+        n, zero_block, blocks = self.DOCUMENTED[code]
+        _, diags = validate_canonical(SimpleNamespace(n=n, zero_block=zero_block, blocks=blocks))
+        with pytest.raises(NotCanonicalError) as err:
+            TypeBPartition(n, zero_block, blocks)
+        assert err.value.diagnostics == diags
+        assert code in {d.code for d in diags}
 
 
 class TestExpandAndCanonicalize:

@@ -1,4 +1,4 @@
-"""The one-pass canonical-form check, and the once-per-instance rule.
+"""The one-pass canonical-form check, and the rule that a partition is checked when built.
 
 ``_strictly_increasing`` and ``validate_canonical`` below are the
 previous implementation, kept unchanged as the oracle: the diagnostics
@@ -8,6 +8,7 @@ text, so the one-pass check must return exactly the same
 """
 
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Sequence
 
 import pytest
@@ -20,8 +21,6 @@ from flatstir.typeb import (
     Diagnostic,
     SignedBlock,
     TypeBPartition,
-    ensure_canonical,
-    expand,
     format_partition,
     generate_typeb,
     parse_partition,
@@ -210,14 +209,19 @@ CORRUPTIONS = [
 
 @st.composite
 def candidates(draw):
-    """A valid partition of [-n, n], n <= 5, with up to three corruptions applied."""
+    """A valid partition of [-n, n], n <= 5, with up to three corruptions applied.
+
+    A candidate is a plain namespace: the constructor would refuse most of them.
+    """
     n = draw(st.integers(0, 5))
     base = draw(st.sampled_from(_population(n)))
     zb = list(base.zero_block)
     blocks = [[list(b.negatives), list(b.positives)] for b in base.blocks]
     for corrupt in draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=3)):
         n, zb, blocks = corrupt(draw, n, zb, blocks)
-    return TypeBPartition(n, zb, tuple(SignedBlock(neg, pos) for neg, pos in blocks))
+    return SimpleNamespace(
+        n=n, zero_block=tuple(zb), blocks=tuple(SignedBlock(neg, pos) for neg, pos in blocks)
+    )
 
 
 @settings(max_examples=600, deadline=None)
@@ -226,7 +230,22 @@ def test_diagnostics_match_the_oracle(candidate):
     assert typeb.validate_canonical(candidate) == validate_canonical(candidate)
 
 
-# --- once per instance ---------------------------------------------------------
+# --- checked when built ---------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidates())
+def test_building_raises_exactly_the_diagnostics(candidate):
+    ok, diags = typeb.validate_canonical(candidate)
+    if ok:
+        built = TypeBPartition(candidate.n, candidate.zero_block, candidate.blocks)
+        assert (built.n, built.zero_block, built.blocks) == (
+            candidate.n, candidate.zero_block, candidate.blocks
+        )
+        return
+    with pytest.raises(NotCanonicalError) as err:
+        TypeBPartition(candidate.n, candidate.zero_block, candidate.blocks)
+    assert err.value.diagnostics == diags
 
 
 @pytest.fixture
@@ -253,26 +272,22 @@ def test_one_round_trip_validates_each_partition_once(calls):
     assert calls[0] is parsed and calls[1] is back
 
 
-@pytest.mark.parametrize(
-    "use", [partition_to_word, run_count_from_partition, expand], ids=lambda f: f.__name__
-)
-def test_invalid_partition_is_rejected_on_every_call(calls, use):
-    bad = TypeBPartition(1, (0,), (SignedBlock((1,), ()),))
+def test_invalid_partition_is_rejected_on_every_build(calls):
     for attempt in (1, 2):
-        with pytest.raises(NotCanonicalError):
-            use(bad)
+        with pytest.raises(NotCanonicalError, match="block 1 has no positive element"):
+            TypeBPartition(1, (0,), (SignedBlock((1,), ()),))
         assert len(calls) == attempt
-    assert "_canonical" not in vars(bad)
 
 
 def test_an_equal_fresh_instance_is_checked_anew(calls):
     first = TypeBPartition(2, (0,), (SignedBlock((2,), (1,)),))
-    assert ensure_canonical(first) is first
-    assert ensure_canonical(first) is first
     second = TypeBPartition(2, (0,), (SignedBlock((2,), (1,)),))
     assert second == first
-    assert ensure_canonical(second) is second
     assert len(calls) == 2 and calls[0] is first and calls[1] is second
+    for part in (first, second):
+        partition_to_word(part)
+        run_count_from_partition(part)
+    assert len(calls) == 2
 
 
 class DuckBlock:
@@ -286,31 +301,35 @@ class DuckBlock:
         return self.negatives + self.positives
 
 
-def test_a_duck_typed_block_is_checked_on_every_call(calls):
-    block = DuckBlock((2,), (1,))
+def test_mutating_a_duck_typed_block_leaves_the_partition_alone():
+    block = DuckBlock([2], [1])
     part = TypeBPartition(2, (0,), (block,))
+    assert part.blocks == (SignedBlock((2,), (1,)),)
+    assert type(part.blocks[0]) is SignedBlock
+    block.negatives.append(3)
+    block.positives = (9,)
+    assert part.blocks == (SignedBlock((2,), (1,)),)
+    assert format_partition(part) == "0 | -2 1"
     assert run_count_from_partition(part) == 2
-    assert run_count_from_partition(part) == 2
-    assert len(calls) == 2
-    block.negatives = (1,)
+
+
+def test_a_duck_typed_block_is_checked_as_a_signed_block():
     with pytest.raises(NotCanonicalError, match="min negative magnitude 1"):
-        run_count_from_partition(part)
-    assert len(calls) == 3
+        TypeBPartition(2, (0,), (DuckBlock((1,), (2,)),))
 
 
-def test_generated_partitions_carry_no_mark(calls):
+def test_generated_partitions_are_built_unchecked(calls):
     parts = list(generate_typeb(4))
-    assert calls == []
-    assert not any("_canonical" in vars(p) for p in parts)
     for p in parts:
         partition_to_word(p)
-        partition_to_word(p)
-    assert calls == parts
+        run_count_from_partition(p)
+    assert calls == []
 
 
-def test_the_mark_leaves_equality_hash_and_text_alone():
+def test_trusted_and_built_partitions_are_equal():
+    generated = next(p for p in generate_typeb(4) if format_partition(p) == "0 1 2 | -4 3")
     parsed = parse_partition("0 1 2 | -4 3")
-    fresh = TypeBPartition(4, (0, 1, 2), (SignedBlock((4,), (3,)),))
-    assert "_canonical" in vars(parsed) and "_canonical" not in vars(fresh)
-    assert parsed == fresh and hash(parsed) == hash(fresh)
-    assert repr(parsed) == repr(fresh) and format_partition(parsed) == str(fresh)
+    built = TypeBPartition(4, [0, 1, 2], [SignedBlock([4], [3])])
+    for other in (parsed, built):
+        assert generated == other and hash(generated) == hash(other)
+        assert repr(generated) == repr(other) and str(generated) == str(other)
