@@ -21,6 +21,7 @@ from flatstir.typeb import (
     Diagnostic,
     SignedBlock,
     TypeBPartition,
+    expand,
     format_partition,
     generate_typeb,
     parse_partition,
@@ -272,10 +273,14 @@ def test_one_round_trip_validates_each_partition_once(calls):
     assert calls[0] is parsed and calls[1] is back
 
 
-def test_invalid_partition_is_rejected_on_every_build(calls):
+@pytest.mark.parametrize(
+    "use", [partition_to_word, run_count_from_partition, expand], ids=lambda f: f.__name__
+)
+def test_invalid_partition_is_rejected_on_every_call(calls, use):
+    """The map never sees an invalid partition: building it fails, every time."""
     for attempt in (1, 2):
         with pytest.raises(NotCanonicalError, match="block 1 has no positive element"):
-            TypeBPartition(1, (0,), (SignedBlock((1,), ()),))
+            use(TypeBPartition(1, (0,), (SignedBlock((1,), ()),)))
         assert len(calls) == attempt
 
 
