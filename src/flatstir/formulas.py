@@ -3,10 +3,22 @@
 All counts are plain Python ints (arbitrary precision), and every
 function here is integer arithmetic: the m-fold series, the one formula
 stated over the reals, is summed exactly by Dobinski's formula.
+
+``dowling``, ``flatm_series`` and ``flatm_counts`` extend columns that
+live for the whole process, so a sweep over n does each step once.  Per
+weight x (2 for ``dowling``, m for the series) the module keeps the
+Stirling weights W_j(x) for every order reached so far and the last
+Stirling row, and per m it keeps the recurrence column b(0..): O(n)
+integers each, never the O(n^2) Stirling triangle.
 """
 
+import threading
 from math import comb, prod
-from typing import Iterator
+from typing import Iterator, Sequence
+
+_extending = threading.Lock()  # one caller at a time extends a column; reads need no lock
+_weights: dict[int, tuple[list[int], list[int]]] = {}  # x -> ([W_0(x), ..., W_a(x)], S(a, .))
+_recurrence: dict[int, list[int]] = {}  # m -> [b(0), b(1), ...] of ``flatm_counts``
 
 
 def double_factorial(n: int) -> int:
@@ -16,13 +28,33 @@ def double_factorial(n: int) -> int:
     return prod(range(1, 2 * n, 2))
 
 
-def _stirling2_rows(a_max: int) -> Iterator[list[int]]:
-    """Rows [S(a, 0), ..., S(a, a)] for a = 0..a_max, each built from the one before."""
-    row = [1]
-    yield row
-    for a in range(1, a_max + 1):
-        row = [0] + [b * row[b] + row[b - 1] for b in range(1, a)] + [1]
+def _stirling2_rows(a_max: int, row: Sequence[int] = ()) -> Iterator[list[int]]:
+    """Rows [S(a, 0), ..., S(a, a)] for a = len(row)..a_max, each built from the one before.
+
+    ``row`` is the row a walk already holds (row len(row) - 1); the empty
+    default starts at row 0.
+    """
+    for a in range(len(row), a_max + 1):
+        row = [0] + [b * row[b] + row[b - 1] for b in range(1, a)] + [1] if a else [1]
         yield row
+
+
+def _stirling_weights(x: int, j_max: int) -> list[int]:
+    """The process-wide column W_j(x) = sum_i S(j, i) * x^(j-i), extended to j >= j_max.
+
+    Each row resumes from the last one this x read, so every row is built
+    once per x.  Callers read the column and must not change it.
+    """
+    with _extending:
+        weights, row = _weights.setdefault(x, ([], []))
+        del weights[len(row):]  # a weight whose row an interrupted call did not store
+        for row in _stirling2_rows(j_max, row):
+            weighted = 0
+            for s in row:  # Horner's rule for sum_i S(j, i) * x^(j-i)
+                weighted = x * weighted + s
+            weights.append(weighted)
+            _weights[x] = weights, row
+    return weights
 
 
 def stirling2(a: int, b: int) -> int:
@@ -48,18 +80,14 @@ def dowling(n: int) -> int:
     then by the number k of block pairs they form:
     sum_j C(n,j) * sum_k 2^(j-k) * S(j, k).  The j = 0 term (everything
     in the zero-block) must contribute exactly 1, which is why
-    ``stirling2`` uses S(0,0) = 1.  The Stirling rows are built one at a
-    time, so any n runs in O(n) big integers of memory and no recursion.
+    ``stirling2`` uses S(0,0) = 1.  The inner sums are the weights W_j(2),
+    read from the process-wide column (module docstring), which keeps
+    O(n) big integers after the call and builds no row twice.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = 0
-    for j, row in enumerate(_stirling2_rows(n)):
-        weighted = 0
-        for s in row:  # Horner's rule for sum_k 2^(j-k) * S(j, k)
-            weighted = 2 * weighted + s
-        total += comb(n, j) * weighted
-    return total
+    weights = _stirling_weights(2, n)
+    return sum(comb(n, j) * weights[j] for j in range(n + 1))
 
 
 def flat2_recurrence(n: int) -> int:
@@ -167,25 +195,34 @@ def flatm_counts(n_max: int, m: int) -> list[int]:
     b(0) = 1, produces the count for order j+1 (reading b(j) as the
     order-j count would give m at order 1 instead of the correct 1), so
     the count for order n >= 1 is b(n-1); the empty word gives 1 at
-    n = 0.  One pass builds the whole column.  At m = 2 this reproduces
-    ``dowling(n - 1)``.
+    n = 0.  At m = 2 this reproduces ``dowling(n - 1)``.  The column b
+    lives for the whole process (module docstring) and each call only
+    extends it, so every term is computed once per m; the list returned
+    is a fresh copy.
     """
+    return [1] + _recurrence_column(n_max, m)[:n_max]
+
+
+def _recurrence_column(n_max: int, m: int) -> list[int]:
+    """The process-wide column [b(0), b(1), ...] of ``flatm_counts``, extended to n_max terms."""
     if n_max < 0:
         raise ValueError("n must be nonnegative")
     if m < 2:
         raise ValueError("m must be at least 2")
-    b = [1]
-    for j in range(1, n_max):
-        b.append(
-            (m - 1) * b[j - 1]
-            + sum(comb(j - 1, k - 1) * m ** (k - 1) * b[j - k] for k in range(1, j + 1))
-        )
-    return [1] + b[:n_max]
+    with _extending:
+        b = _recurrence.setdefault(m, [1])
+        for j in range(len(b), n_max):
+            b.append(
+                (m - 1) * b[j - 1]
+                + sum(comb(j - 1, k - 1) * m ** (k - 1) * b[j - k] for k in range(1, j + 1))
+            )
+    return b
 
 
 def flatm_recurrence(n: int, m: int) -> int:
     """Count of flattened m-Stirling words of order n: the last term of ``flatm_counts(n, m)``."""
-    return flatm_counts(n, m)[n]
+    b = _recurrence_column(n, m)
+    return b[n - 1] if n else 1
 
 
 def flatm_series(n: int, m: int) -> int:
@@ -196,17 +233,14 @@ def flatm_series(n: int, m: int) -> int:
     Expanding (mk + m - 1)^p binomially and using
     sum_k k^j x^k / k! = e^x * sum_i S(j, i) x^i at x = 1/m cancels the
     exponential and leaves the integer r-Whitney sum
-    sum_j C(p, j) * (m-1)^(p-j) * sum_i S(j, i) * m^(j-i).
+    sum_j C(p, j) * (m-1)^(p-j) * sum_i S(j, i) * m^(j-i).  The inner
+    sums are the weights W_j(m), read from the process-wide column of
+    this m (module docstring), which keeps O(p) big integers after the call.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if m < 2:
         raise ValueError("m must be at least 2")
     p = n - 1 if n >= 1 else 0
-    total = 0
-    for j, row in enumerate(_stirling2_rows(p)):
-        weighted = 0
-        for s in row:  # Horner's rule for sum_i S(j, i) * m^(j-i)
-            weighted = m * weighted + s
-        total += comb(p, j) * (m - 1) ** (p - j) * weighted
-    return total
+    weights = _stirling_weights(m, p)
+    return sum(comb(p, j) * (m - 1) ** (p - j) * weights[j] for j in range(p + 1))

@@ -14,6 +14,7 @@ Fixture b-files for the four sequences below are bundled under
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
@@ -21,6 +22,8 @@ from typing import Callable
 
 from .errors import BFileFormatError, check_digits
 from .formulas import dowling, flat2_recurrence, flatm_recurrence
+
+_FIELD_RE = re.compile(r"-?[0-9]+")  # ASCII only: int() would also take "+1", "1_0" and "١"
 
 
 @dataclass(frozen=True)
@@ -85,12 +88,11 @@ def parse_bfile(text: str, sequence_id: str = "") -> OeisSequence:
             raise BFileFormatError(
                 f"expected 'index value', found {len(fields)} fields", line_no
             )
-        try:
-            index, value = int(fields[0]), int(fields[1])
-        except ValueError:
-            for name, field in zip(("index", "value"), fields):
-                check_digits(field, name, partial(BFileFormatError, line_number=line_no))
-            raise BFileFormatError(f"non-integer field in {line!r}", line_no) from None
+        for name, field in zip(("index", "value"), fields):
+            if not _FIELD_RE.fullmatch(field):
+                raise BFileFormatError(f"non-integer field in {line!r}", line_no)
+            check_digits(field, name, partial(BFileFormatError, line_number=line_no))
+        index, value = int(fields[0]), int(fields[1])
         if terms and index <= terms[-1][0]:
             raise BFileFormatError(
                 f"index {index} does not increase past {terms[-1][0]}", line_no

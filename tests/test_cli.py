@@ -201,6 +201,14 @@ class TestOeis:
         code, _, err = run_cli(capsys, "oeis", "dowling", "--bfile", str(path))
         assert code == 2 and "line 2" in err
 
+    @pytest.mark.parametrize("line", ["\u0661 1", "0 +1", "1 1_0"])
+    def test_non_ascii_decimal_field_exits_2(self, capsys, tmp_path, line):
+        path = tmp_path / "b.txt"
+        path.write_text(f"0 1\n{line}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "oeis", "dowling", "--bfile", str(path))
+        assert (code, out) == (2, "")
+        assert f"line 2: non-integer field in {line!r}" in err
+
     def test_unknown_sequence(self, capsys):
         code, _, err = run_cli(capsys, "oeis", "A000001")
         assert code == 2

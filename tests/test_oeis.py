@@ -23,6 +23,20 @@ class TestParsing:
     def test_negative_values_allowed_by_format(self):
         seq = parse_bfile("5 -3\n6 4\n")
         assert seq.terms[0] == (5, -3)
+        assert parse_bfile("-2 -0\n-1 007\n").terms == ((-2, 0), (-1, 7))
+
+    @pytest.mark.parametrize(
+        "line",
+        ["\u0661 1", "0 +1", "1 1_0", "0 \u00b2", "+1 1", "0 1.0", "0 -", "0 --1", "0 0x1"],
+        ids=["arabic-indic index", "plus sign", "underscore", "superscript", "plus index",
+             "decimal point", "bare minus", "double minus", "hex"],
+    )
+    def test_only_ascii_decimal_fields(self, line):
+        """Fields are ASCII ``-?[0-9]+``, as in the word, partition and table parsers."""
+        with pytest.raises(BFileFormatError) as err:
+            parse_bfile(f"# header\n{line}\n")
+        assert err.value.line_number == 2
+        assert str(err.value) == f"line 2: non-integer field in {line!r}"
 
     @pytest.mark.parametrize(
         "bad, line",
