@@ -20,6 +20,22 @@ A segment holds both copies of each of its letters, so halving it keeps
 the first copies in order; subtracting one and flipping signs on the
 negative segments rebuilds the blocks in reverse order.  One pass records
 each letter's first position, so the peel is linear in the word.
+
+Run counts of the images are read per block, not per word.  A word's
+runs are 1 plus its descents, and each adjacent pair lies inside one
+segment or at the join of two, so the runs are the zero-block segment's
+runs plus, for each block, its segment's inner descents and one more if
+the join on its left is a descent.  Every signed variant of a block ends on the block's minimum
+plus one (the minimum stays positive and ``min_wrapped`` puts it last),
+so the letter left of each join is fixed by the block before it,
+whatever its signs.  The blocks' signs thus add independent descent
+histograms, and the run distribution of one (zero-block, member blocks)
+shape is their product: ``image_run_distribution`` sums 2^(s-1)
+variants per block instead of building every word.  On canonical images
+every join is an ascent (the next block's letters exceed its minimum
+plus one, which exceeds the previous block's), but the count still
+compares the letters: it reads the images, not this argument, and stays
+independent of ``run_count_from_partition``.
 """
 
 from __future__ import annotations
@@ -29,8 +45,9 @@ from typing import Iterable, Iterator
 
 from .errors import DEFAULT_BUDGET, DomainError, NotFlattenedError, check_budget
 from .formulas import dowling
-from .typeb import SignedBlock, TypeBPartition, _iter_typeb_stream
-from .words import StirlingWord, is_flattened, leader_drop
+from .typeb import SignedBlock, TypeBPartition, _iter_typeb_shapes, _iter_typeb_stream
+from .typeb import _signed_variants
+from .words import StirlingWord, is_flattened, leader_drop, run_starts
 
 
 def shift_magnitudes(values: Iterable[int]) -> frozenset[int]:
@@ -52,6 +69,60 @@ def min_wrapped(values: Iterable[int]) -> tuple[int, ...]:
 def _segment(negatives: tuple[int, ...], positives: tuple[int, ...]) -> tuple[int, ...]:
     """Letters of one part: its doubled negatives, then its wrapped positives."""
     return twice_each(shift_magnitudes(negatives)) + min_wrapped(shift_magnitudes(positives))
+
+
+def _block_descents(block: tuple[int, ...], prev: int) -> tuple[dict[int, int], int]:
+    """A block's descent histogram after the letter ``prev``, and its variants' common last letter.
+
+    The histogram maps a descent count to the number of variants whose
+    segment has that many inner descents plus the join ``prev`` > its
+    first letter.  Every variant ends on the same letter, the block's
+    minimum plus one, which is returned as the next block's ``prev``.
+    """
+    hist: dict[int, int] = {}
+    for letters in _signed_variants(block, _segment):
+        descents = len(run_starts(letters)) - 1 + (prev > letters[0])
+        hist[descents] = hist.get(descents, 0) + 1
+    return hist, letters[-1]
+
+
+def image_run_distribution(n: int) -> dict[int, int]:
+    """{runs: words} over the images of every canonical partition of [-(n-1), n-1].
+
+    Every image is counted, shape by shape, without building it: a shape's
+    distribution is the zero-block segment's runs times each block's
+    ``_block_descents`` histogram (see the module docstring), memoised
+    per (block, previous last letter).  A histogram {d: c} is held as the
+    integer sum of c * X**d with X = 2**shift, so multiplying two of them
+    convolves the histograms and adding sums them.  No count can carry
+    into the next digit: each is at most the number of words of length
+    2n over 1..n, which is below X.
+    """
+    shift = 2 * n * n.bit_length()
+    memo: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
+    total = 0
+    zero_block = None
+    for support, members in _iter_typeb_shapes(n - 1):
+        if support is not zero_block:
+            zero_block, head = support, _segment((), support)
+            head_poly, head_last = 1 << shift * len(run_starts(head)), head[-1]
+        poly, prev = head_poly, head_last
+        for block in members:
+            found = memo.get((block, prev))
+            if found is None:
+                hist, last = _block_descents(block, prev)
+                packed = sum(count << shift * d for d, count in hist.items())
+                found = memo[block, prev] = packed, last
+            packed, prev = found
+            poly *= packed
+        total += poly
+    by_runs: dict[int, int] = {}
+    digit = (1 << shift) - 1
+    for runs in range(total.bit_length() // shift + 1):
+        count = total >> shift * runs & digit
+        if count:
+            by_runs[runs] = count
+    return by_runs
 
 
 def _word_letters(zero_block: tuple[int, ...], blocks: Iterable[SignedBlock]) -> tuple[int, ...]:

@@ -6,8 +6,9 @@ provenance of that number:
 * ``formula``     -- closed form or recurrence: every |Q_n^m| entry
   (kind ``stirling``) in every table mode, and every entry of a
   ``formula``-mode table,
-* ``enumeration`` -- flattened words counted one by one (the pruned
-  filter walk or the partition images),
+* ``enumeration`` -- every flattened word counted: by the pruned filter
+  walk, or as a partition image, whose sign variants are counted per
+  block,
 * ``cached``      -- read back from a parsed CSV table.
 
 Kinds: ``stirling`` (|Q_n^m|), ``flat`` (flattened doubled words),
@@ -37,11 +38,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .bijection import iter_flattened_letters
+from .bijection import image_run_distribution
+from .bijection import iter_flattened_letters  # noqa: F401  bench/passes.py patches the name
 from .errors import DEFAULT_BUDGET, CacheCoherenceError, TableFormatError, check_budget
 from .errors import check_digits, max_str_digits
 from .formulas import dowling, flatm_counts, max_runs, mstirling_count, run_distributions
-from .words import count_stirling_stats, run_starts
+from .words import _check_budget, count_stirling_stats
 
 KINDS = ("stirling", "flat", "flat_k", "mstirling_flat")
 PROVENANCES = ("formula", "enumeration", "cached")
@@ -84,15 +86,16 @@ class CountTable:
 def count_runs_via_bijection(n: int, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """Run-count distribution over all flattened doubled words of order n.
 
-    Enumerates partition images directly (never the full word set); the
-    words are flattened by construction, so only their runs are counted.
+    Counts the partition images (never the full word set), which are
+    flattened by construction.  The budget caps their number, though
+    ``image_run_distribution`` builds none of them.
     """
+    _check_images(n, budget)
+    return image_run_distribution(n)
+
+
+def _check_images(n: int, budget: int) -> None:
     check_budget(dowling(n - 1), budget, f"flattened words of order {n}")
-    by_runs: dict[int, int] = {}
-    for letters in iter_flattened_letters(n):
-        runs = len(run_starts(letters))
-        by_runs[runs] = by_runs.get(runs, 0) + 1
-    return by_runs
 
 
 def flat_k_table(n_max: int, mode: str = "bijection", budget: int = DEFAULT_BUDGET) -> CountTable:
@@ -100,16 +103,23 @@ def flat_k_table(n_max: int, mode: str = "bijection", budget: int = DEFAULT_BUDG
 
     Only the run distribution comes from ``mode``: ``filter`` walks the
     insertion tree pruned to flattened words (the default budget caps
-    |Q_n| at n = 9; order 9 takes about 0.1 s), ``bijection``
-    enumerates the flattened words through the partition correspondence
-    (feasible to about n = 11), and ``formula`` takes every row from one
-    ``run_distributions(n_max)`` call (order 200 in about three seconds).
-    The |Q_n| column is the product formula.  The two enumerations fill
-    their ``flat`` and ``flat_k`` entries with provenance
-    ``enumeration``, the formula with ``formula``.
+    |Q_n| at n = 9; order 9 takes about 0.1 s), ``bijection`` counts
+    the partition images block by block (the default budget caps them at
+    n = 11; orders 1-11 take about 4 s on 2 CPUs, order 12 about 20 s), and
+    ``formula`` takes every row from one ``run_distributions(n_max)``
+    call (order 200 in about three seconds).  The |Q_n| column is the
+    product formula.  The two enumerations fill their ``flat`` and
+    ``flat_k`` entries with provenance ``enumeration``, the formula with
+    ``formula``.  An enumeration checks every order against the budget,
+    ascending, before it counts the first.
     """
     if mode not in ("filter", "bijection", "formula"):
         raise ValueError(f"unknown mode {mode!r} (expected 'filter', 'bijection' or 'formula')")
+    for n in range(1, n_max + 1):
+        if mode == "bijection":
+            _check_images(n, budget)
+        elif mode == "filter":
+            _check_budget(n, 2, budget)
     rows = run_distributions(n_max) if mode == "formula" and n_max >= 1 else {}
     provenance = "formula" if mode == "formula" else "enumeration"
     table = CountTable()
@@ -132,14 +142,19 @@ def mstirling_table(
 ) -> CountTable:
     """Fill flattened m-fold counts for 1 <= n <= n_max, 2 <= m <= m_max.
 
-    ``filter`` is the pruned insertion walk; ``formula`` evaluates the
-    recurrence, one ``flatm_counts`` pass per m.  Both modes record
-    |Q_n^m| by its product formula.
+    ``filter`` is the pruned insertion walk, which checks every cell
+    against the budget, in loop order, before it counts the first;
+    ``formula`` evaluates the recurrence, one ``flatm_counts`` pass per
+    m.  Both modes record |Q_n^m| by its product formula.
     """
     if mode == "formula":
         columns = {m: flatm_counts(n_max, m) for m in range(2, m_max + 1)}
     elif mode != "filter":
         raise ValueError(f"unknown mode {mode!r} (expected 'filter' or 'formula')")
+    else:
+        for n in range(1, n_max + 1):
+            for m in range(2, m_max + 1):
+                _check_budget(n, m, budget)
     table = CountTable()
     for n in range(1, n_max + 1):
         for m in range(2, m_max + 1):

@@ -339,22 +339,62 @@ def _subsets_lex(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     yield from rec((), 0)
 
 
-def _restricted_growth_strings(length: int) -> Iterator[tuple[int, ...]]:
-    """All restricted growth strings of the given length, lexicographically."""
-    if length == 0:
-        yield ()
-        return
-    acc = [0] * length
+def _set_partitions(values: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Partitions of ascending ``values`` into ascending blocks, in restricted-growth-string order.
 
-    def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:
-        if i == length:
-            yield tuple(acc)
+    Each value joins the open blocks in the order they were opened, then
+    opens a new one, so the blocks are ordered by their minima.
+    """
+    blocks: list[list[int]] = []
+
+    def rec(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if i == len(values):
+            yield tuple(map(tuple, blocks))
             return
-        for v in range(mx + 2):
-            acc[i] = v
-            yield from rec(i + 1, max(mx, v))
+        v = values[i]
+        for block in blocks:
+            block.append(v)
+            yield from rec(i + 1)
+            block.pop()
+        blocks.append([v])
+        yield from rec(i + 1)
+        blocks.pop()
 
-    yield from rec(1, 0)
+    return rec(0)
+
+
+def _iter_typeb_shapes(n: int) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """Unsigned canonical partitions of [-n, n] as (zero_block, member blocks).
+
+    Zero-block supports come in lexicographic subset order, and the rest
+    of 1..n is split into member blocks in restricted-growth-string
+    order (``_set_partitions``).  All shapes of one support share one
+    zero-block tuple.
+    """
+    universe = tuple(range(1, n + 1))
+    for support in _subsets_lex(universe):
+        zero_block = (0,) + support
+        rest = tuple(v for v in universe if v not in support)
+        for members in _set_partitions(rest):
+            yield zero_block, members
+
+
+def _signed_variants(
+    block: tuple[int, ...], encode: Callable[[tuple[int, ...], tuple[int, ...]], T]
+) -> list[T]:
+    """encode(negatives, positives) for each of a block's 2^(s-1) signed variants.
+
+    The minimum stays positive.  Variant j negates the non-minimal
+    elements whose bits are set in j (bit 0 = smallest).
+    """
+    low, rest = block[0], block[1:]
+    return [
+        encode(
+            tuple(v for j, v in enumerate(rest) if mask >> j & 1),
+            (low,) + tuple(v for j, v in enumerate(rest) if not mask >> j & 1),
+        )
+        for mask in range(1 << len(rest))
+    ]
 
 
 def _iter_typeb_stream(
@@ -362,59 +402,42 @@ def _iter_typeb_stream(
 ) -> Iterator[tuple[tuple[int, ...], tuple[T, ...]]]:
     """Canonical partitions of [-n, n] as (zero_block, (encode(negatives, positives), ...)).
 
-    Order (a contract: seeded samples of the stream rely on it):
-    zero-block supports in lexicographic subset order, remainder
-    partitions in restricted-growth-string order, then sign vectors in
-    binary counting order over the non-minimal elements taken in
-    ascending order (bit 0 = smallest).  All partitions of one support
-    share one zero-block tuple.
+    Order (a contract: seeded samples of the stream rely on it): the
+    shapes of ``_iter_typeb_shapes`` (zero-block supports in
+    lexicographic subset order, remainder partitions in
+    restricted-growth-string order), then sign vectors in binary
+    counting order over the non-minimal elements taken in ascending
+    order (bit 0 = smallest).
 
-    A block's 2^(s-1) signed variants (its minimum stays positive) are
-    encoded once per call and shared by every partition holding it;
-    variant j negates the non-minimal elements whose bits are set in j
-    (bit 0 = smallest).  For each remainder partition every block gets a
-    column of variant indices, doubled once per non-minimal element in
-    ascending order (the owning block's copy gains that element's bit,
-    the others repeat), so entry i of each column is the block's variant
-    under sign mask i and zipping the columns yields the mask order.
+    A block's signed variants (``_signed_variants``) are encoded once per
+    call and shared by every partition holding it.  For each shape every
+    block gets a column of variant indices, doubled once per non-minimal
+    element in ascending order (the owning block's copy gains that
+    element's bit, the others repeat), so entry i of each column is the
+    block's variant under sign mask i and zipping the columns yields the
+    mask order.
     """
     memo: dict[tuple[int, ...], list[T]] = {}
 
     def variants(block: tuple[int, ...]) -> list[T]:
         found = memo.get(block)
         if found is None:
-            low, rest = block[0], block[1:]
-            found = memo[block] = [
-                encode(
-                    tuple(v for j, v in enumerate(rest) if mask >> j & 1),
-                    (low,) + tuple(v for j, v in enumerate(rest) if not mask >> j & 1),
-                )
-                for mask in range(1 << len(rest))
-            ]
+            found = memo[block] = _signed_variants(block, encode)
         return found
 
-    universe = tuple(range(1, n + 1))
-    for support in _subsets_lex(universe):
-        zero_block = (0,) + support
-        rest = tuple(v for v in universe if v not in support)
-        for rgs in _restricted_growth_strings(len(rest)):
-            if not rgs:
-                yield zero_block, ()
-                continue
-            members: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
-            for value, label in zip(rest, rgs):
-                members[label].append(value)
-            owner = {
-                v: (b, 1 << j) for b, block in enumerate(members) for j, v in enumerate(block[1:])
-            }
-            columns = [[0] for _ in members]
-            for v in sorted(owner):
-                b, bit = owner[v]
-                for c, column in enumerate(columns):
-                    column.extend([i | bit for i in column] if c == b else column)
-            tables = [variants(tuple(block)) for block in members]
-            for blocks in zip(*[[t[i] for i in column] for t, column in zip(tables, columns)]):
-                yield zero_block, blocks
+    for zero_block, members in _iter_typeb_shapes(n):
+        if not members:
+            yield zero_block, ()
+            continue
+        owner = {v: (b, 1 << j) for b, block in enumerate(members) for j, v in enumerate(block[1:])}
+        columns = [[0] for _ in members]
+        for v in sorted(owner):
+            b, bit = owner[v]
+            for c, column in enumerate(columns):
+                column.extend([i | bit for i in column] if c == b else column)
+        tables = [variants(block) for block in members]
+        for blocks in zip(*[[t[i] for i in column] for t, column in zip(tables, columns)]):
+            yield zero_block, blocks
 
 
 def generate_typeb(n: int, budget: int = DEFAULT_BUDGET) -> Iterator[TypeBPartition]:

@@ -53,12 +53,23 @@ the empty word gives every count; nothing here starts a process.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor  # unused; bench/passes.py patches the name
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_BUDGET, NotStirlingError, WordSyntaxError, check_budget, check_digits
 from .formulas import mstirling_count
+
+
+def __getattr__(name: str):
+    """Resolve ``ProcessPoolExecutor`` on first use, so start-up never imports multiprocessing.
+
+    Nothing here uses the name; bench/passes.py and a test patch it.
+    """
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _stirling_violation(letters: Sequence[int], m: int) -> str | None:

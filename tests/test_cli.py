@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from flatstir import words
+from flatstir import tables, words
 from flatstir.cli import build_parser, main
 from flatstir.errors import BudgetExceededError
 from flatstir.reference import PAIRS_ORDER4, TABLE1
@@ -474,6 +474,30 @@ def test_huge_table_exits_3_before_any_work(argv):
     assert proc.stderr.startswith("error: a table of 3 rows and ") and proc.stderr.count("\n") == 1
     assert "exceeding the budget of 50000000" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["table", "--max-n", "12"],
+         "flattened words of order 12 would visit 157554048 objects"),
+        (["table", "--max-n", "10", "--mode", "filter"],
+         "generating order-10 words (m=2) would visit 654729075 objects"),
+        (["table", "--mstirling", "--max-n", "8", "--mode", "filter"],
+         "generating order-8 words (m=4) would visit 151412625 objects"),
+    ],
+    ids=["bijection", "filter", "mstirling-filter"],
+)
+def test_over_budget_table_refuses_before_counting_any_row(capsys, monkeypatch, argv, refusal):
+    """Every order's projection is checked, ascending, before the first count."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row was counted")
+
+    monkeypatch.setattr(tables, "count_runs_via_bijection", refuse)
+    monkeypatch.setattr(tables, "count_stirling_stats", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"error: {refusal}, exceeding the budget of 50000000\n"
 
 
 def test_table_cells_count_against_the_budget(capsys):

@@ -11,7 +11,7 @@ from typing import Iterator
 
 import pytest
 
-from flatstir import tables
+from flatstir import bijection, tables
 from flatstir.bijection import iter_flattened_letters, min_wrapped, shift_magnitudes, twice_each
 from flatstir.reference import TABLE1
 from flatstir.typeb import SignedBlock, TypeBPartition, _iter_typeb_stream, generate_typeb
@@ -117,13 +117,12 @@ def test_generate_typeb_shares_each_signed_block():
             assert seen.setdefault(block, block) is block
 
 
-def test_run_count_looks_up_the_letter_stream_through_tables(monkeypatch):
-    calls = []
+def test_run_count_builds_no_image_word(monkeypatch):
+    """``count_runs_via_bijection`` counts each block's sign variants; no word stream runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an image word was built")
 
-    def recording(n):
-        calls.append(n)
-        return iter_flattened_letters(n)
-
-    monkeypatch.setattr(tables, "iter_flattened_letters", recording)
-    assert tables.count_runs_via_bijection(4) == TABLE1[4][2]
-    assert calls == [4]
+    monkeypatch.setattr(tables, "iter_flattened_letters", refuse)
+    monkeypatch.setattr(bijection, "iter_flattened_letters", refuse)
+    monkeypatch.setattr(bijection, "_iter_typeb_stream", refuse)
+    assert tables.count_runs_via_bijection(6) == TABLE1[6][2]
