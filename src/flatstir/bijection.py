@@ -31,7 +31,8 @@ so the letter left of each join is fixed by the block before it,
 whatever its signs.  The blocks' signs thus add independent descent
 histograms, and the run distribution of one (zero-block, member blocks)
 shape is their product: ``image_run_distribution`` sums 2^(s-1)
-variants per block instead of building every word.  On canonical images
+variants per block, and the shapes by a recurrence on the block of the
+smallest magnitude, instead of building every word.  On canonical images
 every join is an ascent (the next block's letters exceed its minimum
 plus one, which exceeds the previous block's), but the count still
 compares the letters: it reads the images, not this argument, and stays
@@ -40,13 +41,13 @@ independent of ``run_count_from_partition``.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import DEFAULT_BUDGET, DomainError, NotFlattenedError, check_budget
 from .formulas import dowling
-from .typeb import SignedBlock, TypeBPartition, _iter_typeb_shapes, _iter_typeb_stream
-from .typeb import _signed_variants
+from .typeb import SignedBlock, TypeBPartition, _iter_typeb_stream, _signed_variants, _subsets_lex
 from .words import StirlingWord, is_flattened, leader_drop, run_starts
 
 
@@ -89,40 +90,48 @@ def _block_descents(block: tuple[int, ...], prev: int) -> tuple[dict[int, int], 
 def image_run_distribution(n: int) -> dict[int, int]:
     """{runs: words} over the images of every canonical partition of [-(n-1), n-1].
 
-    Every image is counted, shape by shape, without building it: a shape's
-    distribution is the zero-block segment's runs times each block's
-    ``_block_descents`` histogram (see the module docstring), memoised
-    per (block, previous last letter).  A histogram {d: c} is held as the
-    integer sum of c * X**d with X = 2**shift, so multiplying two of them
-    convolves the histograms and adding sums them.  No count can carry
-    into the next digit: each is at most the number of words of length
-    2n over 1..n, which is below X.
+    No image is built: its runs are its zero-block segment's runs plus each
+    member block's descents after the letter before it (module docstring).
+    The member blocks of ``rest``, ordered by their minima, are one block B
+    holding rest[0] and then those of rest - B, so their signed variants
+    after the letter ``prev`` have the descent histogram
+
+        blocks(rest, prev) = sum over B of _block_descents(B, prev) * blocks(rest - B, last)
+
+    with blocks((), prev) = 1 and ``last`` the last letter of B's variants.
+    The images sum, per zero-block support, the head's runs times
+    ``blocks`` of the rest after the head.  A histogram {d: c} is held as
+    the integer sum of c * X**d with X = 2**shift, so products convolve
+    histograms and sums add them; no count carries into the next digit, as
+    each is at most the number of words of length 2n over 1..n, below X.
+    ``blocks`` and the packed block histograms are memoised per call.
     """
     shift = 2 * n * n.bit_length()
-    memo: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
+
+    @cache
+    def packed(block: tuple[int, ...], prev: int) -> tuple[int, int]:
+        hist, last = _block_descents(block, prev)
+        return sum(count << shift * d for d, count in hist.items()), last
+
+    @cache
+    def blocks(rest: tuple[int, ...], prev: int) -> int:
+        if not rest:
+            return 1
+        total = 0
+        for chosen in _subsets_lex(rest[1:]):
+            poly, last = packed(rest[:1] + chosen, prev)
+            total += poly * blocks(tuple(v for v in rest[1:] if v not in chosen), last)
+        return total
+
+    universe = tuple(range(1, n))
     total = 0
-    zero_block = None
-    for support, members in _iter_typeb_shapes(n - 1):
-        if support is not zero_block:
-            zero_block, head = support, _segment((), support)
-            head_poly, head_last = 1 << shift * len(run_starts(head)), head[-1]
-        poly, prev = head_poly, head_last
-        for block in members:
-            found = memo.get((block, prev))
-            if found is None:
-                hist, last = _block_descents(block, prev)
-                packed = sum(count << shift * d for d, count in hist.items())
-                found = memo[block, prev] = packed, last
-            packed, prev = found
-            poly *= packed
-        total += poly
-    by_runs: dict[int, int] = {}
+    for support in _subsets_lex(universe):
+        head = _segment((), (0,) + support)
+        rest = tuple(v for v in universe if v not in support)
+        total += blocks(rest, head[-1]) << shift * len(run_starts(head))
     digit = (1 << shift) - 1
-    for runs in range(total.bit_length() // shift + 1):
-        count = total >> shift * runs & digit
-        if count:
-            by_runs[runs] = count
-    return by_runs
+    counts = (total >> shift * runs & digit for runs in range(total.bit_length() // shift + 1))
+    return {runs: count for runs, count in enumerate(counts) if count}
 
 
 def _word_letters(zero_block: tuple[int, ...], blocks: Iterable[SignedBlock]) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ budget exceeded, 4 = domain violation (structurally valid input outside
 an operation's domain).
 """
 
+import re
 import sys
 from typing import Callable
 
@@ -80,6 +81,9 @@ def check_budget(projected: int, budget: int, what: str) -> int:
 def max_str_digits() -> int:
     """Python's limit on the digits of an int converted from text (0: no limit)."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+DECIMAL_RE = re.compile(r"-?[0-9]+")  # ASCII only: int() would also take "+1", " 1", "1_0", "١"
 
 
 def check_digits(token: str, what: str, error: Callable[[str], FlatstirError]) -> None:

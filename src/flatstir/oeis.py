@@ -14,16 +14,13 @@ Fixture b-files for the four sequences below are bundled under
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 from typing import Callable
 
-from .errors import BFileFormatError, check_digits
+from .errors import DECIMAL_RE, BFileFormatError, check_digits
 from .formulas import dowling, flat2_recurrence, flatm_recurrence
-
-_FIELD_RE = re.compile(r"-?[0-9]+")  # ASCII only: int() would also take "+1", "1_0" and "١"
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,7 @@ def parse_bfile(text: str, sequence_id: str = "") -> OeisSequence:
                 f"expected 'index value', found {len(fields)} fields", line_no
             )
         for name, field in zip(("index", "value"), fields):
-            if not _FIELD_RE.fullmatch(field):
+            if not DECIMAL_RE.fullmatch(field):
                 raise BFileFormatError(f"non-integer field in {line!r}", line_no)
             check_digits(field, name, partial(BFileFormatError, line_number=line_no))
         index, value = int(fields[0]), int(fields[1])

@@ -6,9 +6,9 @@ provenance of that number:
 * ``formula``     -- closed form or recurrence: every |Q_n^m| entry
   (kind ``stirling``) in every table mode, and every entry of a
   ``formula``-mode table,
-* ``enumeration`` -- every flattened word counted: by the pruned filter
-  walk, or as a partition image, whose sign variants are counted per
-  block,
+* ``enumeration`` -- read off the flattened words: the pruned filter
+  walk visits each one, and bijection mode counts the partition images
+  block by block, from the letters of every sign variant,
 * ``cached``      -- read back from a parsed CSV table.
 
 Kinds: ``stirling`` (|Q_n^m|), ``flat`` (flattened doubled words),
@@ -41,7 +41,7 @@ from typing import Callable
 from .bijection import image_run_distribution
 from .bijection import iter_flattened_letters  # noqa: F401  bench/passes.py patches the name
 from .errors import DEFAULT_BUDGET, CacheCoherenceError, TableFormatError, check_budget
-from .errors import check_digits, max_str_digits
+from .errors import DECIMAL_RE, check_digits, max_str_digits
 from .formulas import dowling, flatm_counts, max_runs, mstirling_count, run_distributions
 from .words import _check_budget, count_stirling_stats
 
@@ -105,7 +105,7 @@ def flat_k_table(n_max: int, mode: str = "bijection", budget: int = DEFAULT_BUDG
     insertion tree pruned to flattened words (the default budget caps
     |Q_n| at n = 9; order 9 takes about 0.1 s), ``bijection`` counts
     the partition images block by block (the default budget caps them at
-    n = 11; orders 1-11 take about 4 s on 2 CPUs, order 12 about 20 s), and
+    n = 11; orders 1-11 take about 0.9 s on 2 CPUs, 1-12 about 2.7 s), and
     ``formula`` takes every row from one ``run_distributions(n_max)``
     call (order 200 in about three seconds).  The |Q_n| column is the
     product formula.  The two enumerations fill their ``flat`` and
@@ -209,9 +209,10 @@ def _from_csv(
 
     The header must name ``columns_for(width)``: a mismatch in its first
     ``fixed`` cells is an unexpected header, one in the rest ``mismatch``.
-    Data row i must have n = i, as ``_to_csv`` writes them, so n_max is
-    the number of rows.  Run-count cells (columns with a k) are stored
-    only when nonzero.
+    Every cell is an ASCII decimal (``DECIMAL_RE``) that ``int()`` can
+    convert.  Data row i must have n = i, as ``_to_csv`` writes them, so
+    n_max is the number of rows.  Run-count cells (columns with a k) are
+    stored only when nonzero.
     """
     lines = [ln for ln in text.split("\n") if ln]
     if not lines:
@@ -229,10 +230,11 @@ def _from_csv(
         cells = line.split(",")
         if len(cells) != len(header):
             raise TableFormatError(f"row {row_no}: expected {len(header)} cells")
-        try:
-            found, *counts = map(int, cells)
-        except ValueError:
-            raise TableFormatError(f"row {row_no}: non-integer cell") from None
+        for col, cell in enumerate(cells, start=1):
+            if not DECIMAL_RE.fullmatch(cell):
+                raise TableFormatError(f"row {row_no}: non-integer cell")
+            check_digits(cell, f"row {row_no}: cell {col}", TableFormatError)
+        found, *counts = map(int, cells)
         if found != n:
             raise TableFormatError(f"row {row_no}: expected n = {n}, found {found}")
         for (_, kind, m, k), count in zip(columns, counts):

@@ -363,22 +363,6 @@ def _set_partitions(values: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], 
     return rec(0)
 
 
-def _iter_typeb_shapes(n: int) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-    """Unsigned canonical partitions of [-n, n] as (zero_block, member blocks).
-
-    Zero-block supports come in lexicographic subset order, and the rest
-    of 1..n is split into member blocks in restricted-growth-string
-    order (``_set_partitions``).  All shapes of one support share one
-    zero-block tuple.
-    """
-    universe = tuple(range(1, n + 1))
-    for support in _subsets_lex(universe):
-        zero_block = (0,) + support
-        rest = tuple(v for v in universe if v not in support)
-        for members in _set_partitions(rest):
-            yield zero_block, members
-
-
 def _signed_variants(
     block: tuple[int, ...], encode: Callable[[tuple[int, ...], tuple[int, ...]], T]
 ) -> list[T]:
@@ -402,20 +386,21 @@ def _iter_typeb_stream(
 ) -> Iterator[tuple[tuple[int, ...], tuple[T, ...]]]:
     """Canonical partitions of [-n, n] as (zero_block, (encode(negatives, positives), ...)).
 
-    Order (a contract: seeded samples of the stream rely on it): the
-    shapes of ``_iter_typeb_shapes`` (zero-block supports in
-    lexicographic subset order, remainder partitions in
-    restricted-growth-string order), then sign vectors in binary
-    counting order over the non-minimal elements taken in ascending
-    order (bit 0 = smallest).
+    Order (a contract: seeded samples of the stream rely on it):
+    zero-block supports in lexicographic subset order (``_subsets_lex``),
+    then the rest of 1..n split into member blocks in
+    restricted-growth-string order (``_set_partitions``), then sign
+    vectors in binary counting order over the non-minimal elements taken
+    in ascending order (bit 0 = smallest).  The partitions of one support
+    share one zero-block tuple, so a consumer may compare it by identity.
 
     A block's signed variants (``_signed_variants``) are encoded once per
-    call and shared by every partition holding it.  For each shape every
-    block gets a column of variant indices, doubled once per non-minimal
-    element in ascending order (the owning block's copy gains that
-    element's bit, the others repeat), so entry i of each column is the
-    block's variant under sign mask i and zipping the columns yields the
-    mask order.
+    call and shared by every partition holding it.  For each split into
+    member blocks every block gets a column of variant indices, doubled
+    once per non-minimal element in ascending order (the owning block's
+    copy gains that element's bit, the others repeat), so entry i of
+    each column is the block's variant under sign mask i and zipping the
+    columns yields the mask order.
     """
     memo: dict[tuple[int, ...], list[T]] = {}
 
@@ -425,19 +410,23 @@ def _iter_typeb_stream(
             found = memo[block] = _signed_variants(block, encode)
         return found
 
-    for zero_block, members in _iter_typeb_shapes(n):
-        if not members:
-            yield zero_block, ()
-            continue
-        owner = {v: (b, 1 << j) for b, block in enumerate(members) for j, v in enumerate(block[1:])}
-        columns = [[0] for _ in members]
-        for v in sorted(owner):
-            b, bit = owner[v]
-            for c, column in enumerate(columns):
-                column.extend([i | bit for i in column] if c == b else column)
-        tables = [variants(block) for block in members]
-        for blocks in zip(*[[t[i] for i in column] for t, column in zip(tables, columns)]):
-            yield zero_block, blocks
+    universe = tuple(range(1, n + 1))
+    for support in _subsets_lex(universe):
+        zero_block = (0,) + support
+        rest = tuple(v for v in universe if v not in support)
+        for members in _set_partitions(rest):
+            if not members:
+                yield zero_block, ()
+                continue
+            owner = {v: (b, 1 << j) for b, blk in enumerate(members) for j, v in enumerate(blk[1:])}
+            columns = [[0] for _ in members]
+            for v in sorted(owner):
+                b, bit = owner[v]
+                for c, column in enumerate(columns):
+                    column.extend([i | bit for i in column] if c == b else column)
+            tables = [variants(block) for block in members]
+            for blocks in zip(*[[t[i] for i in column] for t, column in zip(tables, columns)]):
+                yield zero_block, blocks
 
 
 def generate_typeb(n: int, budget: int = DEFAULT_BUDGET) -> Iterator[TypeBPartition]:

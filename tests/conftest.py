@@ -9,7 +9,6 @@ import os
 
 import pytest
 
-from flatstir.bijection import iter_flattened_letters
 from flatstir.tables import count_runs_via_bijection
 from flatstir.typeb import generate_typeb
 from flatstir.words import generate_flattened_filter
@@ -41,9 +40,3 @@ def partitions():
 def bijection_runs():
     """Run-count distribution of flattened doubled words, order 1..10, via images."""
     return {n: count_runs_via_bijection(n) for n in range(1, 11)}
-
-
-@pytest.fixture(scope="session")
-def flat_letter_sets():
-    """Letter-tuple sets of the partition-image stream, orders 1..8."""
-    return {n: set(iter_flattened_letters(n)) for n in range(1, 9)}

@@ -1,9 +1,11 @@
 """Run counts of the partition images, counted per block without building the words.
 
 ``image_run_distribution`` multiplies per-block descent histograms
-(``_block_descents``).  These tests pin it to the run counts of the
-built image words, shape by shape and order by order, and pin each
-histogram to the descents of explicitly signed block segments.
+(``_block_descents``) in a recurrence on the block holding the smallest
+magnitude.  These tests pin it to the run counts of the built image
+words order by order and to the formula up to order 11, pin the product
+of a shape's histograms to its words, and pin each histogram to the
+descents of explicitly signed block segments.
 """
 
 from collections import Counter
@@ -20,14 +22,24 @@ from flatstir.bijection import (
     shift_magnitudes,
     twice_each,
 )
+from flatstir.errors import BudgetExceededError
 from flatstir.formulas import run_distributions
 from flatstir.reference import TABLE1
-from flatstir.typeb import _iter_typeb_shapes
+from flatstir.typeb import _set_partitions, _subsets_lex
 from flatstir.words import run_starts
 
 
 def _built_runs(words) -> Counter:
     return Counter(len(run_starts(letters)) for letters in words)
+
+
+def _shapes(n: int):
+    """(zero_block, member blocks) of [-n, n] in the partition stream's order."""
+    universe = tuple(range(1, n + 1))
+    for support in _subsets_lex(universe):
+        rest = tuple(v for v in universe if v not in support)
+        for members in _set_partitions(rest):
+            yield (0,) + support, members
 
 
 def _convolve(dist: Counter, hist: dict[int, int]) -> Counter:
@@ -49,13 +61,19 @@ def test_count_equals_table1_and_the_formula(bijection_runs):
         assert bijection_runs[n] == TABLE1[n][2] == rows[n], n
 
 
+def test_count_at_the_largest_order_the_default_budget_admits():
+    assert tables.count_runs_via_bijection(11) == run_distributions(11)[11]
+    with pytest.raises(BudgetExceededError):
+        tables.count_runs_via_bijection(12)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_each_shape_is_the_product_of_its_block_histograms(n):
     """The words of one (zero-block, remainder partition) shape come out
     consecutively, one per sign vector; their run counts are the head's
     runs convolved with each block's histogram."""
     stream = iter_flattened_letters(n)
-    for zero_block, members in _iter_typeb_shapes(n - 1):
+    for zero_block, members in _shapes(n - 1):
         size = 1 << sum(len(block) - 1 for block in members)
         head = _segment((), zero_block)
         dist, prev = Counter({len(run_starts(head)): 1}), head[-1]
@@ -90,7 +108,7 @@ def test_canonical_images_have_no_descent_at_a_join():
     previous block's last letter equals its histogram after 0, which no
     letter is below."""
     for n in range(1, 8):
-        for zero_block, members in _iter_typeb_shapes(n - 1):
+        for zero_block, members in _shapes(n - 1):
             prev = _segment((), zero_block)[-1]
             for block in members:
                 hist, last = _block_descents(block, prev)

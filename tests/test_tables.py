@@ -149,6 +149,37 @@ class TestCsv:
         with pytest.raises(TableFormatError):
             parse_table2_csv(bad)
 
+    @pytest.mark.parametrize("cell", ["+3", " 3", "٣", "3_0"],
+                             ids=["plus sign", "leading space", "arabic-indic three",
+                                  "underscore"])
+    def test_cell_that_is_not_an_ascii_decimal_is_refused(self, cell):
+        """int() reads these as 3 or 30; cells are ASCII -?[0-9]+, as in a b-file."""
+        for parse, text in [
+            (parse_table1_csv, f"n,|Q_n|,|flat|,k=1\n1,1,{cell},1\n"),
+            (parse_table2_csv, f"n,m=2\n1,{cell}\n"),
+            (parse_table2_csv, f"n,m=2\n{cell},1\n"),
+        ]:
+            with pytest.raises(TableFormatError) as err:
+                parse(text)
+            assert str(err.value) == "row 2: non-integer cell", text
+
+    def test_over_long_cell_names_the_digit_limit(self):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python converts integers of any length")
+        too_long = "7" * 5000
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for parse, text, col in [
+                (parse_table1_csv, f"n,|Q_n|,|flat|,k=1\n1,1,{too_long},1\n", 3),
+                (parse_table2_csv, f"n,m=2\n{too_long},1\n", 1),
+            ]:
+                with pytest.raises(TableFormatError) as err:
+                    parse(text)
+                assert str(err.value) == f"row 2: cell {col} has 5000 digits, more than 4300"
+        finally:
+            sys.set_int_max_str_digits(old_limit)
+
 
 # json.dumps cannot write an int too long for str(); the test text puts one
 # (1 followed by 5,000 zeros) where this placeholder stands
