@@ -4,20 +4,20 @@ All counts are plain Python ints (arbitrary precision), and every
 function here is integer arithmetic: the m-fold series, the one formula
 stated over the reals, is summed exactly by Dobinski's formula.
 
-``dowling``, ``flatm_series`` and ``flatm_counts`` extend columns that
-live for the whole process, so a sweep over n does each step once.  Per
-weight x (2 for ``dowling``, m for the series) the module keeps the
-Stirling weights W_j(x) for every order reached so far and the last
-Stirling row, and per m it keeps the recurrence column b(0..): O(n)
-integers each, never the O(n^2) Stirling triangle.
+``dowling`` and ``flatm_series`` are row sums of one triangle per m,
+T(p+1, k) = (mk + m - 1) * T(p, k) + T(p, k-1) with T(0, 0) = 1: the
+Whitney numbers of the Dowling lattice at m = 2, the r-Whitney numbers
+with r = m - 1 in general (proofs in their docstrings).  Per m the
+module keeps the triangle's row sums so far and its last row, and the
+recurrence column b of ``flatm_counts``: O(n) integers each, living for
+the whole process, so a sweep over n does each step once.
 """
 
 import threading
 from math import comb, prod
-from typing import Iterator, Sequence
 
 _extending = threading.Lock()  # one caller at a time extends a column; reads need no lock
-_weights: dict[int, tuple[list[int], list[int]]] = {}  # x -> ([W_0(x), ..., W_a(x)], S(a, .))
+_triangles: dict[int, tuple[list[int], list[int]]] = {}  # m -> ([sum_k T(p, k), p <= a], T(a, .))
 _recurrence: dict[int, list[int]] = {}  # m -> [b(0), b(1), ...] of ``flatm_counts``
 
 
@@ -28,66 +28,56 @@ def double_factorial(n: int) -> int:
     return prod(range(1, 2 * n, 2))
 
 
-def _stirling2_rows(a_max: int, row: Sequence[int] = ()) -> Iterator[list[int]]:
-    """Rows [S(a, 0), ..., S(a, a)] for a = len(row)..a_max, each built from the one before.
-
-    ``row`` is the row a walk already holds (row len(row) - 1); the empty
-    default starts at row 0.
-    """
-    for a in range(len(row), a_max + 1):
-        row = [0] + [b * row[b] + row[b - 1] for b in range(1, a)] + [1] if a else [1]
-        yield row
-
-
-def _stirling_weights(x: int, j_max: int) -> list[int]:
-    """The process-wide column W_j(x) = sum_i S(j, i) * x^(j-i), extended to j >= j_max.
-
-    Each row resumes from the last one this x read, so every row is built
-    once per x.  Callers read the column and must not change it.
-    """
-    with _extending:
-        weights, row = _weights.setdefault(x, ([], []))
-        del weights[len(row):]  # a weight whose row an interrupted call did not store
-        for row in _stirling2_rows(j_max, row):
-            weighted = 0
-            for s in row:  # Horner's rule for sum_i S(j, i) * x^(j-i)
-                weighted = x * weighted + s
-            weights.append(weighted)
-            _weights[x] = weights, row
-    return weights
-
-
 def stirling2(a: int, b: int) -> int:
     """Stirling number of the second kind: partitions of an a-set into b nonempty blocks.
 
-    Convention: S(0,0) = 1 and S(a,0) = 0 for a >= 1.  The boundary value
-    S(0,0) = 1 is required for ``dowling`` to count the partition whose
-    zero-block absorbs every element; see that function's docstring.
+    Convention: S(0, 0) = 1 (the empty partition) and S(a, 0) = 0 for a >= 1.
     """
     if a < 0 or b < 0:
         raise ValueError("arguments must be nonnegative")
     if b > a:
         return 0
-    for row in _stirling2_rows(a):
-        pass
+    row = [1]
+    for i in range(1, a + 1):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, i)] + [1]
     return row[b]
 
 
-def dowling(n: int) -> int:
-    """Number of type B set partitions of [-n, n].
+def _triangle_row(row: list[int], m: int) -> list[int]:
+    """Row p + 1 of the triangle of m from row p = [T(p, 0), ..., T(p, p)]."""
+    r = m - 1
+    return [r * row[0]] + [(m * k + r) * row[k] + row[k - 1] for k in range(1, len(row))] + [1]
 
-    Counts by the number j of magnitudes outside the zero-block's support,
-    then by the number k of block pairs they form:
-    sum_j C(n,j) * sum_k 2^(j-k) * S(j, k).  The j = 0 term (everything
-    in the zero-block) must contribute exactly 1, which is why
-    ``stirling2`` uses S(0,0) = 1.  The inner sums are the weights W_j(2),
-    read from the process-wide column (module docstring), which keeps
-    O(n) big integers after the call and builds no row twice.
+
+def _row_sum(p: int, m: int) -> int:
+    """sum_k T(p, k) of the triangle of m, from its process-wide row sums.
+
+    Each call resumes from the last row stored, so every row is built once per m.
+    """
+    with _extending:
+        sums, row = _triangles.setdefault(m, ([1], [1]))
+        del sums[len(row):]  # a sum whose row an interrupted call did not store
+        for _ in range(len(row), p + 1):
+            row = _triangle_row(row, m)
+            sums.append(sum(row))
+            _triangles[m] = sums, row
+        return sums[p]
+
+
+def dowling(n: int) -> int:
+    """Number of type B set partitions of [-n, n]: row sum n of the triangle at m = 2.
+
+    Proof.  Let T(p, k) count the type B partitions of [-p, p] with k
+    pairs {B, -B} of nonzero blocks, so T(0, 0) = 1.  Removing magnitude
+    p + 1 from a partition of [-(p+1), p+1] leaves one of [-p, p], and
+    p + 1 sat in the zero-block (1 way), in one of the k pairs with either
+    sign (2k ways), or in a new pair {p+1}, {-(p+1)} (k - 1 pairs remain).
+    Each step reverses, so T(p+1, k) = (2k + 1) * T(p, k) + T(p, k-1): the
+    triangle of m = 2, whose row n sums to the count.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    weights = _stirling_weights(2, n)
-    return sum(comb(n, j) * weights[j] for j in range(n + 1))
+    return _row_sum(n, 2)
 
 
 def flat2_recurrence(n: int) -> int:
@@ -228,19 +218,23 @@ def flatm_recurrence(n: int, m: int) -> int:
 def flatm_series(n: int, m: int) -> int:
     """Count of flattened m-Stirling words of order n, via the conjectured series.
 
-    The series e^(-1/m) * sum_{k>=0} (mk + m - 1)^p / (k! * m^k), with
-    p = n - 1 (p = 0 at n = 0), summed exactly by Dobinski's formula.
-    Expanding (mk + m - 1)^p binomially and using
+    The series e^(-1/m) * sum_{k>=0} (mk + r)^p / (k! * m^k), with r = m - 1
+    and p = n - 1 (p = 0 at n = 0), is row sum p of the triangle of m.
+
+    Proof.  Dobinski: expanding (mk + r)^p binomially and using
     sum_k k^j x^k / k! = e^x * sum_i S(j, i) x^i at x = 1/m cancels the
-    exponential and leaves the integer r-Whitney sum
-    sum_j C(p, j) * (m-1)^(p-j) * sum_i S(j, i) * m^(j-i).  The inner
-    sums are the weights W_j(m), read from the process-wide column of
-    this m (module docstring), which keeps O(p) big integers after the call.
+    exponential and leaves sum_j C(p, j) * r^(p-j) * sum_i S(j, i) * m^(j-i).
+    Swapping the sums gives sum_k T(p, k) with Mezo's explicit form
+    T(p, k) = sum_j C(p, j) * r^(p-j) * m^(j-k) * S(j, k), whose exponential
+    generating function in p, the product of e^(rz) and
+    sum_j S(j, k) (mz)^j / (j! m^k), is F_k = e^(rz) * (e^(mz) - 1)^k / (m^k k!).
+    With e^(mz) = (e^(mz) - 1) + 1, F_k' = (mk + r) * F_k + F_(k-1); read at
+    z^p / p! that is T(p+1, k) = (mk + r) * T(p, k) + T(p, k-1), and F_k(0)
+    gives T(0, k) = [k = 0]: the triangle of m.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if m < 2:
         raise ValueError("m must be at least 2")
     p = n - 1 if n >= 1 else 0
-    weights = _stirling_weights(m, p)
-    return sum(comb(p, j) * (m - 1) ** (p - j) * weights[j] for j in range(p + 1))
+    return _row_sum(p, m)

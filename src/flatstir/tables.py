@@ -210,9 +210,10 @@ def _from_csv(
     The header must name ``columns_for(width)``: a mismatch in its first
     ``fixed`` cells is an unexpected header, one in the rest ``mismatch``.
     Every cell is an ASCII decimal (``DECIMAL_RE``) that ``int()`` can
-    convert.  Data row i must have n = i, as ``_to_csv`` writes them, so
-    n_max is the number of rows.  Run-count cells (columns with a k) are
-    stored only when nonzero.
+    convert; a count cell has no sign, while the n cell may, so that a row
+    numbered ``-1`` reports as found.  Data row i must have n = i, as
+    ``_to_csv`` writes them, so n_max is the number of rows.  Run-count
+    cells (columns with a k) are stored only when nonzero.
     """
     lines = [ln for ln in text.split("\n") if ln]
     if not lines:
@@ -233,6 +234,8 @@ def _from_csv(
         for col, cell in enumerate(cells, start=1):
             if not DECIMAL_RE.fullmatch(cell):
                 raise TableFormatError(f"row {row_no}: non-integer cell")
+            if col > 1 and cell[0] == "-":
+                raise TableFormatError(f"row {row_no}: cell {col}: a count may not be signed")
             check_digits(cell, f"row {row_no}: cell {col}", TableFormatError)
         found, *counts = map(int, cells)
         if found != n:

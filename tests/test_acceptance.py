@@ -134,13 +134,13 @@ def test_criterion_07_two_run_formulas(filter_stats):
 
 
 def test_criterion_08_partition_count_formula():
-    """Double-sum partition count equals exhaustive generation (n <= 9) and the sequence."""
+    """Triangle row-sum partition count equals exhaustive generation (n <= 9) and the sequence."""
     expected = [1, 2, 6, 24, 116, 648, 4088, 28640, 219920, 1832224]
     assert [dowling(n) for n in range(10)] == expected
     for n in range(0, 10):
         generated = sum(1 for _ in typeb.generate_typeb(n))
         assert generated == dowling(n), f"exhaustive count at n={n}"
-    report(8, True, "partition counts exhaustive 0..9 equal the double-sum formula")
+    report(8, True, "partition counts exhaustive 0..9 equal the triangle row sums")
 
 
 def test_criterion_09_three_run_conjecture(bijection_runs, filter_stats):

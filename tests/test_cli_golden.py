@@ -1,11 +1,13 @@
 """Golden CLI output: stdout digests and exit codes pinned for a fixed command list.
 
 The digests were taken from the build before the run scanners, budget
-guards and pool paths were merged; a refactor that changes any printed
-byte fails here.  ``elapsed_seconds`` lines are dropped before hashing.
-The error text of ``map phi`` for non-canonical partitions is pinned
-byte for byte, one case per validation diagnostic.  The merged run
-scanner is also pinned against the brute-force oracle.
+guards and pool paths were merged, and those of the formula path from
+the build before ``dowling`` and ``flatm_series`` became row sums of the
+r-Whitney triangle; a refactor that changes any printed byte fails
+here.  ``elapsed_seconds`` lines are dropped before hashing.  The error
+text of ``map phi`` for non-canonical partitions is pinned byte for
+byte, one case per validation diagnostic.  The merged run scanner is
+also pinned against the brute-force oracle.
 """
 
 import hashlib
@@ -37,6 +39,19 @@ GOLDEN = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (["verify", "table1", "--max-n", "5"], 0,
      "70679371bf681b5a0b3490dd576ae65fff4720f53db859d4d2884696208adc0c"),
+    # the formula path: every output that dowling and flatm_series reach
+    (["table", "--mode", "formula", "--max-n", "60"], 0,
+     "f45c5ccd60a63d7c988ebab670c1494c064e5c2a0437a7f4d734d2b6b8fa1c99"),
+    (["table", "--mstirling", "--max-n", "40", "--max-m", "8"], 0,
+     "a119281386c87f8f35368bc4cbe4b1973f13b1160f38ab806848e14e44fd6956"),
+    (["verify", "table2"], 0,
+     "ace171a15f57c13dd56ef512311fef455b3789aad1a239df284221c1cc143066"),
+    (["verify", "conjectures"], 0,
+     "e763ebaaec5820e35add6688cfa752dae9fb831cf9456b5f2a8a77dbc2d51c89"),
+    (["oeis", "dowling"], 0,
+     "707517e9d177e0b819cc08ac33672c63cd57efcfa69a242c28cf8a9324fadec7"),
+    (["oeis", "mstirling3"], 0,
+     "2ed14cfe0f554fd7a4388f2c49ac73ef39e23cbf7060d543e5fd3e43cdf90655"),
 ]
 
 

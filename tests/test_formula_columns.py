@@ -1,12 +1,13 @@
-"""The incremental formula columns against the one-shot versions they replaced.
+"""The incremental formula columns against independent one-shot versions.
 
 ``dowling``, ``flatm_series`` and ``flatm_counts`` keep process-wide
-columns (the Stirling weights W_j(x) per x, the recurrence column b per
-m) and extend them on demand.  The functions below are the previous
-implementations, which rebuilt every table from order 0 on each call;
+columns (per m, the row sums and last row of the r-Whitney triangle, and
+the recurrence column b) and extend them on demand.  The functions below
+are earlier implementations, which rebuilt every table from order 0 on
+each call, the sums through Stirling weights W_j(x) = sum_i S(j, i) x^(j-i);
 they are kept as oracles.  Whatever order the calls come in, and from
 whatever state, the columns must give the oracles' values, build each
-Stirling row once per x and hold O(n) integers, never the triangle.
+triangle row once per m and hold O(n) integers, never the triangle.
 """
 
 import random
@@ -20,7 +21,8 @@ from typing import Iterator
 import pytest
 
 from flatstir import formulas
-from flatstir.formulas import dowling, flatm_counts, flatm_recurrence, flatm_series
+from flatstir.formulas import dowling, flatm_counts, flatm_recurrence, flatm_series, stirling2
+from flatstir.typeb import generate_typeb
 
 DOWLING_MAX = 200
 GRID = [(n, m) for n in range(61) for m in range(2, 9)]
@@ -81,29 +83,31 @@ def old_column(m: int) -> tuple[int, ...]:
 @pytest.fixture
 def cold(monkeypatch):
     """Empty module state for the test; the process-wide columns come back afterwards."""
-    monkeypatch.setattr(formulas, "_weights", {})
+    monkeypatch.setattr(formulas, "_triangles", {})
     monkeypatch.setattr(formulas, "_recurrence", {})
 
 
 @pytest.fixture
 def rows_built(monkeypatch, cold):
-    """Counter of the Stirling row indices the module builds while the test runs."""
+    """Counter of the (m, p) of each triangle row the module builds while the test runs.
+
+    Row 0 of each m is the column's starting state, so it is never built.
+    """
     built: Counter = Counter()
-    resume = formulas._stirling2_rows
+    step = formulas._triangle_row
 
-    def counting(a_max, row=()):
-        for built_row in resume(a_max, row):
-            built[len(built_row) - 1] += 1
-            yield built_row
+    def counting(row, m):
+        built[m, len(row)] += 1  # row p has p + 1 entries and gives row p + 1
+        return step(row, m)
 
-    monkeypatch.setattr(formulas, "_stirling2_rows", counting)
+    monkeypatch.setattr(formulas, "_triangle_row", counting)
     return built
 
 
 def held_integers() -> int:
     """Integers the module state holds across every column and stored row."""
-    weights = sum(len(w) + len(row) for w, row in formulas._weights.values())
-    return weights + sum(len(b) for b in formulas._recurrence.values())
+    triangles = sum(len(sums) + len(row) for sums, row in formulas._triangles.values())
+    return triangles + sum(len(b) for b in formulas._recurrence.values())
 
 
 def orders(values, how: str) -> list:
@@ -136,7 +140,7 @@ def test_series_and_recurrence_match_the_oracles_in_any_call_order(cold, how):
 
 
 def test_dowling_and_the_series_at_m_2_share_one_column(cold):
-    """x = 2 serves both ``dowling`` and ``flatm_series(., 2)``, in either order."""
+    """One triangle at m = 2 serves ``dowling`` and ``flatm_series(., 2)``, in either order."""
     assert flatm_series(41, 2) == old_flatm_series(41, 2)
     assert dowling(60) == old_dowling(60)
     assert [flatm_series(n, 2) for n in range(1, 62)] == [old_dowling(n) for n in range(61)]
@@ -153,11 +157,11 @@ def test_a_changed_counts_list_leaves_later_results_alone(cold):
 
 
 def test_an_interrupted_extension_is_repaired(cold):
-    """A weight stored without its row (a call stopped between the two) is rebuilt."""
+    """A row sum stored without its row (a call stopped between the two) is rebuilt."""
     dowling(10)
-    formulas._weights[2][0].append(-1)
+    formulas._triangles[2][0].append(-1)
     assert [dowling(n) for n in (12, 11)] == [old_dowling(12), old_dowling(11)]
-    assert len(formulas._weights[2][0]) == 13
+    assert len(formulas._triangles[2][0]) == 13
 
 
 def test_invalid_arguments_are_refused_and_build_nothing(cold):
@@ -166,7 +170,7 @@ def test_invalid_arguments_are_refused_and_build_nothing(cold):
                        (flatm_counts, (-1, 2)), (flatm_counts, (3, 0))]:
         with pytest.raises(ValueError):
             call(*args)
-    assert formulas._weights == {} and formulas._recurrence == {}
+    assert formulas._triangles == {} and formulas._recurrence == {}
 
 
 def test_threads_extending_one_column_build_each_row_once(rows_built):
@@ -195,8 +199,9 @@ def test_threads_extending_one_column_build_each_row_once(rows_built):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert sorted(results) == list(range(8))
-    # x = 2 reaches row 60 (dowling(60)); x = 3 reaches row 59 (flatm_series(60, 3))
-    assert rows_built == Counter({a: 2 for a in range(60)} | {60: 1})
+    # m = 2 reaches row 60 (dowling(60)); m = 3 reaches row 59 (flatm_series(60, 3))
+    built_once = [(2, p) for p in range(1, 61)] + [(3, p) for p in range(1, 60)]
+    assert rows_built == Counter(built_once)
     assert {m: len(b) for m, b in formulas._recurrence.items()} == {2: 60, 3: 60}
     for rows in results.values():
         for n, m, value, series, recurrence in rows:
@@ -216,16 +221,38 @@ def test_the_formulas_sweep_builds_each_row_once_per_weight(rows_built):
         flatm_series(n, m)
     for n, m in grid:
         flatm_recurrence(n, m)
-    # x = 2 reaches row 150; x = 3, 4 and 5 reach row 27 (order 28 reads p = 27)
-    expected = Counter({a: 1 for a in range(151)})
-    expected.update({a: 3 for a in range(28)})
+    # m = 2 reaches row 150; m = 3, 4 and 5 reach row 27 (order 28 reads p = 27)
+    expected = Counter({(2, p): 1 for p in range(1, 151)})
+    expected.update({(m, p): 1 for m in range(3, 6) for p in range(1, 28)})
     assert rows_built == expected
     assert {m: len(b) for m, b in formulas._recurrence.items()} == {m: 28 for m in range(2, 6)}
 
 
 def test_dowling_300_holds_a_column_not_the_triangle(cold):
     assert dowling(300) == old_dowling(300)
-    weights, row = formulas._weights[2]
-    assert (len(weights), len(row)) == (301, 301)
-    # the triangle up to row 300 has 45,451 entries; the column and one row hold 602
+    sums, row = formulas._triangles[2]
+    assert (len(sums), len(row)) == (301, 301)
+    # the triangle up to row 300 has 45,451 entries; its row sums and one row hold 602
     assert held_integers() == 602
+
+
+# --- the triangle's entries ---------------------------------------------------------
+
+
+def test_rows_at_m_2_count_partitions_by_block_pairs(cold):
+    """The claim of ``dowling``'s proof: T(p, k) counts the partitions of [-p, p] with k pairs."""
+    for p in range(8):
+        dowling(p)
+        pairs = Counter(len(q.blocks) for q in generate_typeb(p))
+        assert formulas._triangles[2][1] == [pairs[k] for k in range(p + 1)], p
+
+
+def test_every_entry_is_mezos_explicit_form(cold):
+    """T(p, k) = sum_j C(p, j) * (m-1)^(p-j) * m^(j-k) * S(j, k) for p <= 30, m <= 8."""
+    s = {(j, k): stirling2(j, k) for j in range(31) for k in range(j + 1)}
+    for m in range(2, 9):
+        for p in range(31):
+            flatm_series(p + 1, m)
+            explicit = [sum(comb(p, j) * (m - 1) ** (p - j) * m ** (j - k) * s[j, k]
+                            for j in range(k, p + 1)) for k in range(p + 1)]
+            assert formulas._triangles[m][1] == explicit, (p, m)

@@ -153,7 +153,7 @@ class TestCsv:
                              ids=["plus sign", "leading space", "arabic-indic three",
                                   "underscore"])
     def test_cell_that_is_not_an_ascii_decimal_is_refused(self, cell):
-        """int() reads these as 3 or 30; cells are ASCII -?[0-9]+, as in a b-file."""
+        """int() reads these as 3 or 30; cells are ASCII decimals, as in a b-file."""
         for parse, text in [
             (parse_table1_csv, f"n,|Q_n|,|flat|,k=1\n1,1,{cell},1\n"),
             (parse_table2_csv, f"n,m=2\n1,{cell}\n"),
@@ -162,6 +162,22 @@ class TestCsv:
             with pytest.raises(TableFormatError) as err:
                 parse(text)
             assert str(err.value) == "row 2: non-integer cell", text
+
+    @pytest.mark.parametrize("cell", ["-1", "-0"])
+    def test_table1_signed_count_is_refused(self, cell):
+        with pytest.raises(TableFormatError) as err:
+            parse_table1_csv(f"n,|Q_n|,|flat|,k=1\n1,1,{cell},1\n")
+        assert str(err.value) == "row 2: cell 3: a count may not be signed"
+
+    @pytest.mark.parametrize("cell", ["-1", "-0"])
+    def test_table2_signed_count_is_refused(self, cell):
+        """As the JSON codec does; the n cell keeps its sign so a wrong row number reports."""
+        with pytest.raises(TableFormatError) as err:
+            parse_table2_csv(f"n,m=2\n1,{cell}\n")
+        assert str(err.value) == "row 2: cell 2: a count may not be signed"
+        with pytest.raises(TableFormatError) as err:
+            parse_table2_csv("n,m=2\n-1,1\n")
+        assert str(err.value) == "row 2: expected n = 1, found -1"
 
     def test_over_long_cell_names_the_digit_limit(self):
         if not hasattr(sys, "set_int_max_str_digits"):
