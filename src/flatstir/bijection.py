@@ -12,12 +12,19 @@ order n+1 by encoding each part through three small maps:
   wraps the doubled rest) -- used for the positive parts.
 
 The word is the concatenation: wrapped zero-block, then for each block
-the doubled negatives followed by its wrapped positives.  The inverse
-peels the word from the right: each positive segment runs from the
-leftmost occurrence of the final letter, each negative segment is the
-maximal contiguous stretch of larger letters immediately to its left.
-A segment holds both copies of each of its letters, so halving it keeps
-the first copies in order; subtracting one and flipping signs on the
+the doubled negatives followed by its wrapped positives.  The three maps
+remain the definition; the encoder (``_segment``, ``_word_letters``)
+writes the same letters straight from the parts into one list, with no
+set or sort, so it requires the parts to be canonical: magnitudes
+ascending, positives nonempty.  Every built ``TypeBPartition`` and the
+partition stream give it such parts.
+
+The inverse peels the word from the right: each positive segment runs
+from the leftmost occurrence of the final letter, each negative segment
+is the maximal contiguous stretch of larger letters immediately to its
+left.  A segment holds both copies of each of its letters, side by side
+(after the first letter, for a positive one), so a slice of every
+second letter halves it; subtracting one and flipping signs on the
 negative segments rebuilds the blocks in reverse order.  One pass records
 each letter's first position, so the peel is linear in the word.
 
@@ -42,8 +49,7 @@ independent of ``run_count_from_partition``.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_BUDGET, DomainError, NotFlattenedError, check_budget
 from .formulas import dowling
@@ -67,9 +73,28 @@ def min_wrapped(values: Iterable[int]) -> tuple[int, ...]:
     return (ordered[0], *sorted(ordered[1:] * 2), ordered[0]) if ordered else ()
 
 
+def _add_segment(letters: list[int], negatives: Sequence[int], positives: Sequence[int]) -> None:
+    """Append one part's letters to ``letters``: its doubled negatives, then its wrapped positives.
+
+    The parts must be canonical and ascending, with ``positives``
+    nonempty; on them the letters equal
+    ``twice_each(shift_magnitudes(negatives)) + min_wrapped(shift_magnitudes(positives))``,
+    which remains the definition.
+    """
+    for v in negatives:
+        letters += (v + 1, v + 1)
+    low = positives[0] + 1
+    letters.append(low)
+    for v in positives[1:]:
+        letters += (v + 1, v + 1)
+    letters.append(low)
+
+
 def _segment(negatives: tuple[int, ...], positives: tuple[int, ...]) -> tuple[int, ...]:
-    """Letters of one part: its doubled negatives, then its wrapped positives."""
-    return twice_each(shift_magnitudes(negatives)) + min_wrapped(shift_magnitudes(positives))
+    """Letters of one canonical part, ascending and with positives: see ``_add_segment``."""
+    letters: list[int] = []
+    _add_segment(letters, negatives, positives)
+    return tuple(letters)
 
 
 def _block_descents(block: tuple[int, ...], prev: int) -> tuple[dict[int, int], int]:
@@ -135,8 +160,12 @@ def image_run_distribution(n: int) -> dict[int, int]:
 
 
 def _word_letters(zero_block: tuple[int, ...], blocks: Iterable[SignedBlock]) -> tuple[int, ...]:
-    segments = (_segment(b.negatives, b.positives) for b in blocks)
-    return tuple(chain(_segment((), zero_block), *segments))
+    """The image's letters, gathered in one list from the canonical parts."""
+    letters: list[int] = []
+    _add_segment(letters, (), zero_block)
+    for b in blocks:
+        _add_segment(letters, b.negatives, b.positives)
+    return tuple(letters)
 
 
 def partition_to_word(partition: TypeBPartition, verify_output: bool = False) -> StirlingWord:
@@ -176,21 +205,30 @@ def word_to_partition(word: StirlingWord) -> TypeBPartition:
             f"the previous leading term {lead}"
         )
 
+    # Peel (negatives, positives) segments right to left on the magnitudes
+    # (letters minus one); the last one peeled is the zero-block.  A segment
+    # not made of pairs (only in a word that is not doubled) keeps the first
+    # copy of each value instead, and an inconsistent peel fails the
+    # canonical check.
+    values = tuple([v - 1 for v in letters])
     first: dict[int, int] = {}
-    for idx, v in enumerate(letters):
+    for idx, v in enumerate(values):
         first.setdefault(v, idx)
-    # Peel (negatives, positives) segments right to left; the last one peeled
-    # is the zero-block.  An inconsistent peel fails the canonical check.
     blocks: list[SignedBlock] = []
-    i = len(letters) - 1
+    i = len(values) - 1
     while i >= 0:
-        value = letters[i]
+        value = values[i]
         j = first[value]
         t = j - 1
-        while t >= 0 and letters[t] > value:
+        while t >= 0 and values[t] > value:
             t -= 1
-        negatives = tuple(v - 1 for v in dict.fromkeys(letters[t + 1 : j]))
-        positives = tuple(v - 1 for v in dict.fromkeys(letters[j : i + 1]))
+        negatives = values[t + 1 : j : 2]
+        if negatives != values[t + 2 : j : 2]:
+            negatives = dict.fromkeys(values[t + 1 : j])
+        inner = values[j + 1 : i : 2]
+        positives = (value, *inner)
+        if inner != values[j + 2 : i : 2]:
+            positives = dict.fromkeys(values[j : i + 1])
         blocks.append(SignedBlock(negatives, positives))
         i = t
     zero_block = blocks.pop().positives

@@ -34,7 +34,6 @@ Validation diagnostics use the stable codes::
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import islice
 from operator import lt
@@ -43,8 +42,6 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 from .errors import DEFAULT_BUDGET, NotCanonicalError, NotTypeBError, PartitionSyntaxError
 from .errors import check_budget, check_digits
 from .formulas import dowling
-
-_ELEMENT_RE = re.compile(r"^(?:0|-?[1-9][0-9]*)$")
 
 T = TypeVar("T")
 
@@ -61,8 +58,9 @@ class SignedBlock:
     positives: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "negatives", tuple(self.negatives))
-        object.__setattr__(self, "positives", tuple(self.positives))
+        if type(self.negatives) is not tuple or type(self.positives) is not tuple:
+            object.__setattr__(self, "negatives", tuple(self.negatives))
+            object.__setattr__(self, "positives", tuple(self.positives))
 
     @property
     def magnitudes(self) -> tuple[int, ...]:
@@ -84,9 +82,11 @@ class TypeBPartition:
 
     def __post_init__(self):
         object.__setattr__(self, "zero_block", tuple(self.zero_block))
-        blocks = (b if type(b) is SignedBlock else SignedBlock(b.negatives, b.positives)
-                  for b in self.blocks)
-        object.__setattr__(self, "blocks", tuple(blocks))
+        blocks = self.blocks
+        if type(blocks) is not tuple or not set(map(type, blocks)) <= {SignedBlock}:
+            blocks = (b if type(b) is SignedBlock else SignedBlock(b.negatives, b.positives)
+                      for b in blocks)
+            object.__setattr__(self, "blocks", tuple(blocks))
         ok, diags = validate_canonical(self)
         if not ok:
             raise NotCanonicalError(diags)
@@ -117,20 +117,63 @@ def _strictly_increasing(seq: Sequence[int]) -> bool:
     return all(map(lt, seq, seq[1:]))
 
 
+def _is_canonical(candidate: TypeBPartition) -> bool:
+    """True when ``candidate`` breaks no canonical-form rule; one pass, no diagnostics.
+
+    The zero-block must start with 0, and each part must rise strictly:
+    the zero-block, a block's positives from above the previous block's
+    minimum (0 for the first), its negatives from above its own minimum.
+    The magnitudes must then be n + 1 values equal to 0..n.  So none
+    repeats, every magnitude outside the zero-block is at least 1, and no
+    rule of ``validate_canonical`` is broken.
+    """
+    zb = candidate.zero_block
+    if not zb or zb[0] != 0:
+        return False
+    prev = -1
+    for v in zb:
+        if v <= prev:
+            return False
+        prev = v
+    magnitudes = list(zb)
+    low = 0
+    for block in candidate.blocks:
+        negatives, positives = block.negatives, block.positives
+        if not positives:
+            return False
+        prev = low
+        for v in positives:
+            if v <= prev:
+                return False
+            prev = v
+        prev = low = positives[0]
+        for v in negatives:
+            if v <= prev:
+                return False
+            prev = v
+        magnitudes += negatives
+        magnitudes += positives
+    size = len(magnitudes)
+    return size == candidate.n + 1 and set(magnitudes) == set(range(size))
+
+
 def validate_canonical(candidate: TypeBPartition) -> tuple[bool, list[Diagnostic]]:
     """Check every canonical-form invariant; diagnostics name each violated rule.
 
-    Diagnostics come in a fixed order: the zero-block rules, then each
-    block's rules in block order, then block order, duplicates and
-    coverage.  One pass over the blocks takes each block's minimum once
-    and gathers the magnitudes; the search for the first duplicate runs
-    only when the magnitudes hold one.  Memory stays bounded by the
-    input even when ``n`` is huge.
+    A canonical candidate is accepted by one cheap pass (``_is_canonical``).
+    Any other is checked rule by rule, and the diagnostics come in a fixed
+    order: the zero-block rules, then each block's rules in block order,
+    then block order, duplicates and coverage.  One pass over the blocks
+    takes each block's minimum once and gathers the magnitudes; the search
+    for the first duplicate runs only when the magnitudes hold one.
+    Memory stays bounded by the input even when ``n`` is huge.
 
     This function is pure, checks every time and takes any object with
     ``n``, ``zero_block`` and ``blocks``; ``TypeBPartition`` calls it when
     it is built.
     """
+    if _is_canonical(candidate):
+        return True, []
     diags: list[Diagnostic] = []
     zb = candidate.zero_block
     if not zb or zb[0] != 0:
@@ -273,6 +316,41 @@ def format_partition(partition: TypeBPartition) -> str:
     return " | ".join(parts)
 
 
+def _element_values(text: str, parts: list[list[str]]) -> tuple[int, ...]:
+    """The integers of every block's tokens in order; each must read ``'0'`` or ``'-'? nonzero decimal``.
+
+    A token has that form (ASCII only) exactly when it is the text
+    ``str()`` gives its ``int()``, so text whose values print back as its
+    tokens needs no look at each token.  Other text is read block by
+    block: the first empty block, malformed token or token too long for
+    ``int()`` raises PartitionSyntaxError.
+    """
+    tokens = text.replace("|", " ").split()
+    try:
+        values = tuple(map(int, tokens))
+        if all(parts) and list(map(str, values)) == tokens:
+            return values
+    except ValueError:  # not an integer, or too many digits: found below
+        pass
+    values = []
+    for b_idx, part in enumerate(parts):
+        if not part:
+            raise PartitionSyntaxError(f"block {b_idx}: empty block (expected elements)")
+        for t_idx, tok in enumerate(part):
+            where = f"block {b_idx}, element {t_idx}"
+            digits = tok[1:] if tok[0] == "-" else tok
+            if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and tok != "0"):
+                raise PartitionSyntaxError(
+                    f"{where}: expected '0' or '-'? nonzero decimal, found {tok!r}"
+                )
+            try:
+                values.append(int(tok))
+            except ValueError:  # the form admits the token, so only its length is refused
+                check_digits(tok, where, PartitionSyntaxError)
+                raise
+    return tuple(values)
+
+
 def parse_partition(text: str) -> TypeBPartition:
     """Parse canonical partition text.
 
@@ -283,42 +361,28 @@ def parse_partition(text: str) -> TypeBPartition:
     """
     if not text.strip():
         raise PartitionSyntaxError("empty partition text")
+    parts = [segment.split() for segment in text.split("|")]
+    values = _element_values(text, parts)
+    magnitudes = tuple(map(abs, values))
     extra: list[Diagnostic] = []
-    zero_block: list[int] = []
     blocks: list[SignedBlock] = []
-    n = 0
-    for b_idx, segment in enumerate(text.split("|")):
-        tokens = segment.split()
-        if not tokens:
-            raise PartitionSyntaxError(f"block {b_idx}: empty block (expected elements)")
-        negatives: list[int] = []
-        positives: list[int] = []
-        for t_idx, tok in enumerate(tokens):
-            if not _ELEMENT_RE.match(tok):
-                raise PartitionSyntaxError(
-                    f"block {b_idx}, element {t_idx}: expected '0' or '-'? nonzero "
-                    f"decimal, found {tok!r}"
-                )
-            try:
-                v = int(tok)
-            except ValueError:  # the pattern admits the token, so only its length is refused
-                check_digits(tok, f"block {b_idx}, element {t_idx}", PartitionSyntaxError)
-                raise
-            if b_idx == 0:
-                zero_block.append(v)
-            elif v >= 0:
-                positives.append(v)
-            else:
-                if positives:
-                    message = f"block {b_idx}: negatives must precede positives"
-                    extra.append(Diagnostic("intra-block-order", message))
-                negatives.append(-v)
-            n = max(n, abs(v))
-        if b_idx:
-            blocks.append(SignedBlock(negatives, positives))
+    start = len(parts[0])
+    for b_idx, part in enumerate(parts[1:], start=1):
+        end = start + len(part)
+        k = start  # past the block's leading negatives
+        while k < end and values[k] < 0:
+            k += 1
+        negatives, positives = magnitudes[start:k], values[k:end]
+        if positives and min(positives) < 0:  # a negative follows a positive
+            message = f"block {b_idx}: negatives must precede positives"
+            extra += [Diagnostic("intra-block-order", message) for v in positives if v < 0]
+            negatives += tuple(-v for v in positives if v < 0)
+            positives = tuple(v for v in positives if v >= 0)
+        blocks.append(SignedBlock(negatives, positives))
+        start = end
 
     try:
-        partition = TypeBPartition(n, zero_block, blocks)
+        partition = TypeBPartition(max(magnitudes), values[: len(parts[0])], tuple(blocks))
     except NotCanonicalError as err:
         extra += err.diagnostics
     if extra:

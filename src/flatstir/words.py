@@ -72,14 +72,46 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _is_stirling(letters: Sequence[int], m: int) -> bool:
+    """True when ``letters`` is an m-Stirling word, m >= 1: one loop, no reason given.
+
+    A value is open from its first copy until its m-th.  Each letter must
+    either open a value above the top open one, or be another copy of the
+    top; a letter below the top lies inside a larger value's span.  Every
+    value thus opens once it appears and closes after m copies, with only
+    larger letters in between; the letter count rules out a value opened
+    twice, and the values must be 1..n.
+    """
+    below: list[tuple[int, int]] = []  # the open values under the top, each with its copies
+    top = copies = 0
+    for v in letters:
+        if v > top:
+            below.append((top, copies))
+            top, copies = v, 1
+        elif v == top > 0:
+            copies += 1
+        else:
+            return False
+        if copies == m:
+            top, copies = below.pop()
+    values = set(letters)
+    return not below and len(letters) == m * len(values) and (
+        not values or min(values) >= 1 and max(values) == len(values)
+    )
+
+
 def _stirling_violation(letters: Sequence[int], m: int) -> str | None:
     """Reason ``letters`` is not an m-Stirling word, or None if it is one.
 
-    A word that breaks the Stirling rule is reported at its first
-    violating position, naming the earliest-opened value whose span holds it.
+    A word is accepted by one loop (``_is_stirling``); only a rejected one
+    is scanned again for its reason.  A word that breaks the Stirling rule
+    is reported at its first violating position, naming the
+    earliest-opened value whose span holds it.
     """
     if m < 1:
         return f"multiplicity {m} is not positive"
+    if _is_stirling(letters, m):
+        return None
     counts: dict[int, int] = {}
     # The open values (seen, not yet m times) above a 0 sentinel: increasing
     # up to the first violation when every count is m, so a letter lies

@@ -6,17 +6,22 @@ the build before ``dowling`` and ``flatm_series`` became row sums of the
 r-Whitney triangle; a refactor that changes any printed byte fails
 here.  ``elapsed_seconds`` lines are dropped before hashing.  The error
 text of ``map phi`` for non-canonical partitions is pinned byte for
-byte, one case per validation diagnostic.  The merged run scanner is
-also pinned against the brute-force oracle.
+byte, one case per validation diagnostic, and so is that of ``map psi``
+for malformed, non-Stirling and non-flattened words.  The merged run
+scanner is also pinned against the brute-force oracle.
 """
 
 import hashlib
+import sys
 
 import pytest
 
 import brute_force
 from flatstir import words
+from flatstir.bijection import word_to_partition
 from flatstir.cli import main
+from flatstir.errors import DomainError, NotStirlingError
+from flatstir.words import StirlingWord
 
 GOLDEN = [
     (["table", "--max-n", "7"], 0,
@@ -119,6 +124,77 @@ def test_golden_map_phi_error_text(capsys, text, code, detail):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == PREFIX + detail + "\n"
+
+
+LONG = "7" * 5000  # more digits than int() converts at Python's default limit of 4300
+
+# (word text, exit code, stderr) of `map psi`: each syntax error of the word
+# parser (the digit limit before a later bad token), each reason of the
+# Stirling check that text can reach, non-flattened words and empty text.
+# Taken from the build before the one-pass codecs.
+GOLDEN_PSI_ERRORS = [
+    ("", 2, "empty word text (the empty word has no text form)"),
+    (" \t\n", 2, "empty word text (the empty word has no text form)"),
+    ("102", 2, "character 1: letter 0 is invalid (compact form allows digits 1-9 only)"),
+    ("00", 2, "character 0: letter 0 is invalid (compact form allows digits 1-9 only)"),
+    ("1a", 2, "character 1: expected a digit 1-9 in compact word, found 'a'"),
+    ("1²", 2, "character 1: expected a digit 1-9 in compact word, found '²'"),
+    ("12 x", 2, "token 1: expected a positive decimal letter, found 'x'"),
+    ("1 01", 2, "token 1: expected a positive decimal letter, found '01'"),
+    ("1 -1", 2, "token 1: expected a positive decimal letter, found '-1'"),
+    ("1 +1", 2, "token 1: expected a positive decimal letter, found '+1'"),
+    ("1 ١", 2, "token 1: expected a positive decimal letter, found '١'"),
+    ("1 𝟙", 2, "token 1: expected a positive decimal letter, found '𝟙'"),
+    ("0 0", 2, "token 0: expected a positive decimal letter, found '0'"),
+    (f"1 {LONG}", 2, "token 1 has 5000 digits, more than 4300"),
+    (f"{LONG} x", 2, "token 0 has 5000 digits, more than 4300"),
+    (f"x {LONG}", 2, "token 0: expected a positive decimal letter, found 'x'"),
+    ("111", 4, "value 1 occurs 3 times, expected 2"),
+    ("1 1 2", 4, "value 2 occurs 1 times, expected 2"),
+    ("1 2 1 2 2", 4, "value 2 occurs 3 times, expected 2"),
+    ("1 1 3 3", 4, "values [1, 3] do not cover 1..2"),
+    ("99999999999 99999999999", 4, "values [99999999999] do not cover 1..1"),
+    ("1212", 4, "letter 1 at position 2 lies between occurrences of 2 but is smaller"),
+    ("1 2 3 3 1 2", 4, "letter 1 at position 4 lies between occurrences of 2 but is smaller"),
+    ("2 1 1 3 3 2", 4, "letter 1 at position 1 lies between occurrences of 2 but is smaller"),
+    ("2211", 4,
+     "run starting at position 2 leads with 1, smaller than the previous leading term 2"),
+    ("2 3 3 2 1 1", 4,
+     "run starting at position 4 leads with 1, smaller than the previous leading term 2"),
+]
+
+
+@pytest.mark.parametrize("text, code, detail", GOLDEN_PSI_ERRORS,
+                         ids=[g[0].replace(LONG, "7..7") for g in GOLDEN_PSI_ERRORS])
+def test_golden_map_psi_error_text(capsys, text, code, detail):
+    if LONG not in text:
+        assert main(["map", "psi", text]) == code
+    elif not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on the digits int() converts")
+    else:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert main(["map", "psi", text]) == code
+        finally:
+            sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + detail + "\n"
+
+
+def test_golden_psi_reasons_word_text_cannot_reach():
+    """A letter below 1 and the empty word: the word parser refuses their text
+    first, so their messages are pinned on the library calls."""
+    with pytest.raises(NotStirlingError) as err:
+        StirlingWord((1, 0, 1, 0), 2)
+    assert str(err.value) == "letter 0 at position 1 is not a positive integer"
+    with pytest.raises(NotStirlingError) as err:
+        StirlingWord((1, 1, -2, -2), 2)
+    assert str(err.value) == "letter -2 at position 2 is not a positive integer"
+    with pytest.raises(DomainError) as err:
+        word_to_partition(StirlingWord((), 2))
+    assert str(err.value) == "the empty word has no corresponding partition (order must be >= 1)"
 
 
 def test_run_scanner_agrees_with_scan_oracle():

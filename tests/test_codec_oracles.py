@@ -18,6 +18,7 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import islice
 from pathlib import Path
@@ -25,7 +26,7 @@ from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flatstir import bijection, typeb, words
 from flatstir.bijection import iter_flattened_letters
@@ -40,7 +41,6 @@ from flatstir.typeb import (
     Diagnostic,
     SignedBlock,
     TypeBPartition,
-    _ELEMENT_RE,
     expand,
     format_partition,
     generate_typeb,
@@ -52,6 +52,8 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 # --- the previous implementations ----------------------------------------------
+
+_ELEMENT_RE = re.compile(r"^(?:0|-?[1-9][0-9]*)$")
 
 
 def shift_magnitudes(values: Iterable[int]) -> frozenset[int]:
@@ -362,6 +364,20 @@ def test_an_inconsistent_peel_is_not_canonical():
         bijection.word_to_partition(word)
 
 
+@pytest.mark.parametrize("letters", [(1, 1, 2, 3, 4, 2), (1, 1, 3, 4, 2, 2)])
+def test_a_segment_not_made_of_pairs_is_not_halved(letters):
+    """Duck-typed words that are not doubled but pass the flattened check:
+    halving the positives 2 3 4 2, or the negatives 3 4, by a slice would
+    drop a value and leave a canonical partition of [-2, 2].  The peel keeps
+    the first copy of every value instead, and the check refuses the result;
+    the oracle tripped an assertion."""
+    word = SimpleNamespace(letters=letters, multiplicity=2, order=3)
+    with pytest.raises(AssertionError):
+        word_to_partition(word)
+    with pytest.raises(NotCanonicalError, match=r"cover 0\.\.2 exactly; got \[0, 1, 2, 3\]"):
+        bijection.word_to_partition(word)
+
+
 def test_segment_helpers_match_the_oracle():
     for size in range(6):
         for values in itertools.combinations(range(-3, 6), size):
@@ -370,9 +386,43 @@ def test_segment_helpers_match_the_oracle():
                 assert bijection.min_wrapped(shifted) == min_wrapped(shifted)
 
 
+def test_segment_is_the_three_map_composition_on_every_signed_variant():
+    """``_segment`` builds the letters from canonical parts without the three maps."""
+    def both(negatives, positives):
+        return bijection._segment(negatives, positives), _segment(negatives, positives)
+
+    variants = 0
+    for size in range(9):
+        for block in itertools.combinations(range(1, 9), size):
+            assert bijection._segment((), (0, *block)) == _segment((), (0, *block))
+            if not block:
+                continue
+            for got, expected in typeb._signed_variants(block, both):
+                assert got == expected, block
+                variants += 1
+    assert variants == (3**8 - 1) // 2
+
+
 # --- parse_partition over valid and mutated text ---------------------------------
 
 JUNK = ["0", "1", "2", "5", "-1", "-3", "-6", "7", "-0", "01", "+1", "x", "1.0", "--1", "-"]
+# Unicode digits that str.isdigit() takes (int() reads the first and the third),
+# a zero after the sign, and more digits than int() converts at Python's
+# default limit, which the mutated-text test lifts
+JUNK += ["١", "²", "𝟙", "-01", "7" * 5000]
+
+
+@contextmanager
+def no_digit_limit():
+    """Lift int()'s limit on digits: the oracle parser predates the message for it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _tokens(part: TypeBPartition) -> list[list[str]]:
@@ -417,12 +467,21 @@ def partition_texts(draw):
 @settings(max_examples=2000, deadline=None)
 @given(partition_texts())
 def test_parse_matches_the_oracle_on_mutated_text(text):
-    assert outcome(typeb.parse_partition, text) == outcome(parse_partition, text)
+    with no_digit_limit():
+        assert outcome(typeb.parse_partition, text) == outcome(parse_partition, text)
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.text(alphabet="0123456789-| \t\nx", max_size=30))
 def test_parse_matches_the_oracle_on_arbitrary_text(text):
+    assert outcome(typeb.parse_partition, text) == outcome(parse_partition, text)
+
+
+@pytest.mark.parametrize(
+    "text", ["0 | 1 -2 -3", "0 | -2 1 -3 4 -5", "0 1 | -3 2 -4 | 5 -6 -7 | 0 -1"]
+)
+def test_parse_matches_the_oracle_on_negatives_after_positives(text):
+    """One diagnostic per negative that follows a positive in its block."""
     assert outcome(typeb.parse_partition, text) == outcome(parse_partition, text)
 
 
@@ -538,6 +597,9 @@ def test_several_violations_report_the_first_position():
 
 @settings(max_examples=1000, deadline=None)
 @given(st.lists(st.integers(-1, 5), max_size=10), st.integers(0, 3))
+@example([0.5, 0.5, 2, 2], 2)  # letters that are not positive integers
+@example([1.5, 1.5, 2, 2], 2)
+@example([True, True], 2)
 def test_stirling_check_accepts_and_rejects_like_the_oracle(letters, m):
     old, new = _stirling_violation(letters, m), words._stirling_violation(letters, m)
     assert (old is None) == (new is None)
@@ -550,11 +612,13 @@ def test_stirling_check_accepts_and_rejects_like_the_oracle(letters, m):
 
 LONG_WORDS = """
 from flatstir.bijection import max_runs_witness, partition_to_word, word_to_partition
+from flatstir.typeb import format_partition, parse_partition
 from flatstir.words import StirlingWord
 
 word = max_runs_witness(64000)
 back = word_to_partition(word)
 assert partition_to_word(back) == word
+assert parse_partition(format_partition(back)) == back
 n = 20000
 StirlingWord(list(range(1, n + 1)) + list(range(n, 0, -1)), 2)
 print("ok")

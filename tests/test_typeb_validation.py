@@ -12,7 +12,7 @@ from types import SimpleNamespace
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flatstir import typeb
 from flatstir.bijection import partition_to_word, run_count_from_partition, word_to_partition
@@ -228,6 +228,30 @@ def candidates(draw):
 @settings(max_examples=600, deadline=None)
 @given(candidates())
 def test_diagnostics_match_the_oracle(candidate):
+    assert typeb.validate_canonical(candidate) == validate_canonical(candidate)
+
+
+@st.composite
+def ordered_candidates(draw):
+    """Candidates whose parts mostly rise as canonical form asks, so the
+    magnitudes (repeats, gaps, range, n) decide: the cases where the one-pass
+    accept check must still find a broken rule."""
+    n = draw(st.integers(-1, 5))
+    values = st.integers(1, n + 2)
+    zb = (0, *sorted(draw(st.sets(values, max_size=4))))
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        positives = sorted(draw(st.sets(values, min_size=1, max_size=3)))
+        negatives = sorted(draw(st.sets(values, max_size=2)))
+        blocks.append(SignedBlock(negatives, positives))
+    blocks.sort(key=lambda b: b.positives[0])
+    return SimpleNamespace(n=n, zero_block=zb, blocks=tuple(blocks))
+
+
+@settings(max_examples=600, deadline=None)
+@given(ordered_candidates())
+@example(SimpleNamespace(n=-1, zero_block=(), blocks=()))  # nothing at all to cover 0..-1
+def test_ordered_candidates_match_the_oracle(candidate):
     assert typeb.validate_canonical(candidate) == validate_canonical(candidate)
 
 
