@@ -32,14 +32,19 @@ Run counts of the images are read per block, not per word.  A word's
 runs are 1 plus its descents, and each adjacent pair lies inside one
 segment or at the join of two, so the runs are the zero-block segment's
 runs plus, for each block, its segment's inner descents and one more if
-the join on its left is a descent.  Every signed variant of a block ends on the block's minimum
-plus one (the minimum stays positive and ``min_wrapped`` puts it last),
-so the letter left of each join is fixed by the block before it,
-whatever its signs.  The blocks' signs thus add independent descent
-histograms, and the run distribution of one (zero-block, member blocks)
-shape is their product: ``image_run_distribution`` sums 2^(s-1)
-variants per block, and the shapes by a recurrence on the block of the
-smallest magnitude, instead of building every word.  On canonical images
+the join on its left is a descent.  Every signed variant of a block
+ends on the block's minimum plus one (the minimum stays positive and
+``min_wrapped`` puts it last), so the letter left of each join is fixed
+by the block before it, whatever its signs.  The blocks' signs thus add
+independent descent histograms, and the run distribution of one
+(zero-block, member blocks) shape is their product:
+``image_run_distributions`` reads each block's 2^(s-1) variants once,
+as a histogram of (first letter, inner descents), and sums the shapes
+by a recurrence on the block of the smallest magnitude, instead of
+building every word.  Its states are (remaining magnitudes as a
+bitmask, letter before them).  The magnitudes of order n are 1..n-1, so
+every state of a smaller order is a state of the largest order asked
+for, and one memo gives every row.  On canonical images
 every join is an ascent (the next block's letters exceed its minimum
 plus one, which exceeds the previous block's), but the count still
 compares the letters: it reads the images, not this argument, and stays
@@ -53,7 +58,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_BUDGET, DomainError, NotFlattenedError, check_budget
 from .formulas import dowling
-from .typeb import SignedBlock, TypeBPartition, _iter_typeb_stream, _signed_variants, _subsets_lex
+from .typeb import SignedBlock, TypeBPartition, _iter_typeb_stream, _signed_variants
 from .words import StirlingWord, is_flattened, leader_drop, run_starts
 
 
@@ -97,66 +102,109 @@ def _segment(negatives: tuple[int, ...], positives: tuple[int, ...]) -> tuple[in
     return tuple(letters)
 
 
+def _variant_descents(block: tuple[int, ...]) -> tuple[dict[tuple[int, int], int], int]:
+    """Histogram {(first letter, inner descents): variants} of a block; the variants' last letter.
+
+    Each of the 2^(s-1) variants is built once by ``_segment`` and read by
+    ``run_starts``.  Every variant ends on the same letter, the block's
+    minimum plus one.
+    """
+    hist: dict[tuple[int, int], int] = {}
+    for letters in _signed_variants(block, _segment):
+        key = letters[0], len(run_starts(letters)) - 1
+        hist[key] = hist.get(key, 0) + 1
+    return hist, letters[-1]
+
+
 def _block_descents(block: tuple[int, ...], prev: int) -> tuple[dict[int, int], int]:
     """A block's descent histogram after the letter ``prev``, and its variants' common last letter.
 
     The histogram maps a descent count to the number of variants whose
     segment has that many inner descents plus the join ``prev`` > its
-    first letter.  Every variant ends on the same letter, the block's
-    minimum plus one, which is returned as the next block's ``prev``.
+    first letter.  The last letter is returned as the next block's ``prev``.
     """
+    variants, last = _variant_descents(block)
     hist: dict[int, int] = {}
-    for letters in _signed_variants(block, _segment):
-        descents = len(run_starts(letters)) - 1 + (prev > letters[0])
-        hist[descents] = hist.get(descents, 0) + 1
-    return hist, letters[-1]
+    for (first, inner), count in variants.items():
+        descents = inner + (prev > first)
+        hist[descents] = hist.get(descents, 0) + count
+    return hist, last
 
 
-def image_run_distribution(n: int) -> dict[int, int]:
-    """{runs: words} over the images of every canonical partition of [-(n-1), n-1].
+def _magnitudes(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending: bit v stands for magnitude v."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def image_run_distributions(n_max: int) -> dict[int, dict[int, int]]:
+    """{n: {runs: words}} over the images of the canonical partitions of [-(n-1), n-1], n <= n_max.
 
     No image is built: its runs are its zero-block segment's runs plus each
     member block's descents after the letter before it (module docstring).
-    The member blocks of ``rest``, ordered by their minima, are one block B
-    holding rest[0] and then those of rest - B, so their signed variants
+    A set of magnitudes is a bitmask, bit v for magnitude v.  The member
+    blocks of ``rest``, ordered by their minima, are one block B holding
+    its lowest bit and then those of rest - B, so their signed variants
     after the letter ``prev`` have the descent histogram
 
         blocks(rest, prev) = sum over B of _block_descents(B, prev) * blocks(rest - B, last)
 
-    with blocks((), prev) = 1 and ``last`` the last letter of B's variants.
-    The images sum, per zero-block support, the head's runs times
-    ``blocks`` of the rest after the head.  A histogram {d: c} is held as
-    the integer sum of c * X**d with X = 2**shift, so products convolve
-    histograms and sums add them; no count carries into the next digit, as
-    each is at most the number of words of length 2n over 1..n, below X.
-    ``blocks`` and the packed block histograms are memoised per call.
+    with blocks(0, prev) = 1 and ``last`` the last letter of B's variants.
+    B is the lowest bit joined to each submask of the other bits, taken
+    by ``sub = (sub - 1) & others``.  Order n sums, per zero-block support
+    within 1..n-1, the head's runs times ``blocks`` of the rest after the
+    head.  ``blocks(rest, prev)`` does not depend on n: the magnitudes of
+    order n are 1..n-1, so every state of a smaller order is also a state
+    of order n_max, and one memo serves every row; all rows together cost
+    about what the last row costs.
+
+    A histogram {d: c} is held as the integer sum of c * X**d with
+    X = 2**shift, so products convolve histograms and sums add them.  No
+    count carries into the next digit: each is at most the number of
+    words of length 2n over 1..n, and the shift is n_max's, so X exceeds
+    every row's counts.  Each block's variants are read once
+    (``_variant_descents``), and the join ``prev`` > first letter is added
+    once per (block, prev).  The memos live for one call.
     """
-    shift = 2 * n * n.bit_length()
+    shift = 2 * n_max * n_max.bit_length()
 
     @cache
-    def packed(block: tuple[int, ...], prev: int) -> tuple[int, int]:
-        hist, last = _block_descents(block, prev)
-        return sum(count << shift * d for d, count in hist.items()), last
+    def variants(block: int) -> tuple[dict[tuple[int, int], int], int]:
+        return _variant_descents(_magnitudes(block))
 
     @cache
-    def blocks(rest: tuple[int, ...], prev: int) -> int:
+    def packed(block: int, prev: int) -> tuple[int, int]:
+        hist, last = variants(block)
+        poly = sum(
+            count << shift * (inner + (prev > first)) for (first, inner), count in hist.items()
+        )
+        return poly, last
+
+    @cache
+    def blocks(rest: int, prev: int) -> int:
         if not rest:
             return 1
+        low = rest & -rest
+        others = rest ^ low
         total = 0
-        for chosen in _subsets_lex(rest[1:]):
-            poly, last = packed(rest[:1] + chosen, prev)
-            total += poly * blocks(tuple(v for v in rest[1:] if v not in chosen), last)
-        return total
+        sub = others
+        while True:
+            poly, last = packed(low | sub, prev)
+            total += poly * blocks(others ^ sub, last)
+            if not sub:
+                return total
+            sub = (sub - 1) & others
 
-    universe = tuple(range(1, n))
-    total = 0
-    for support in _subsets_lex(universe):
-        head = _segment((), (0,) + support)
-        rest = tuple(v for v in universe if v not in support)
-        total += blocks(rest, head[-1]) << shift * len(run_starts(head))
     digit = (1 << shift) - 1
-    counts = (total >> shift * runs & digit for runs in range(total.bit_length() // shift + 1))
-    return {runs: count for runs, count in enumerate(counts) if count}
+    rows = {}
+    for n in range(1, n_max + 1):
+        universe = (1 << n) - 2
+        total = 0
+        for support in range(0, 1 << n, 2):
+            head = _segment((), (0, *_magnitudes(support)))
+            total += blocks(universe ^ support, head[-1]) << shift * len(run_starts(head))
+        counts = (total >> shift * runs & digit for runs in range(total.bit_length() // shift + 1))
+        rows[n] = {runs: count for runs, count in enumerate(counts) if count}
+    return rows
 
 
 def _word_letters(zero_block: tuple[int, ...], blocks: Iterable[SignedBlock]) -> tuple[int, ...]:

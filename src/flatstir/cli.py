@@ -156,7 +156,7 @@ def _cmd_table(args) -> int:
     if args.mstirling:
         mode = args.mode or "formula"
         if mode == "bijection":
-            print("the m-fold table supports --mode filter or formula", file=sys.stderr)
+            print("error: the m-fold table supports --mode filter or formula", file=sys.stderr)
             return 2
         if args.max_k is not None:
             print("error: --max-k applies to the run-count table, not --mstirling", file=sys.stderr)

@@ -38,12 +38,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .bijection import image_run_distribution
+from .bijection import image_run_distributions
 from .bijection import iter_flattened_letters  # noqa: F401  bench/passes.py patches the name
 from .errors import DEFAULT_BUDGET, CacheCoherenceError, TableFormatError, check_budget
 from .errors import DECIMAL_RE, check_digits, max_str_digits
 from .formulas import dowling, flatm_counts, max_runs, mstirling_count, run_distributions
-from .words import _check_budget, count_stirling_stats
+from .words import _check_budget, _walk_stats
+from .words import count_stirling_stats  # noqa: F401  bench/passes.py patches the name
 
 KINDS = ("stirling", "flat", "flat_k", "mstirling_flat")
 PROVENANCES = ("formula", "enumeration", "cached")
@@ -88,10 +89,10 @@ def count_runs_via_bijection(n: int, budget: int = DEFAULT_BUDGET) -> dict[int, 
 
     Counts the partition images (never the full word set), which are
     flattened by construction.  The budget caps their number, though
-    ``image_run_distribution`` builds none of them.
+    ``image_run_distributions`` builds none of them.
     """
     _check_images(n, budget)
-    return image_run_distribution(n)
+    return image_run_distributions(n)[n]
 
 
 def _check_images(n: int, budget: int) -> None:
@@ -101,17 +102,19 @@ def _check_images(n: int, budget: int) -> None:
 def flat_k_table(n_max: int, mode: str = "bijection", budget: int = DEFAULT_BUDGET) -> CountTable:
     """Fill |Q_n|, |flat|, and the flat_k distribution for 1 <= n <= n_max.
 
-    Only the run distribution comes from ``mode``: ``filter`` walks the
-    insertion tree pruned to flattened words (the default budget caps
-    |Q_n| at n = 9; order 9 takes about 0.1 s), ``bijection`` counts
-    the partition images block by block (the default budget caps them at
-    n = 11; orders 1-11 take about 0.9 s on 2 CPUs, 1-12 about 2.7 s), and
-    ``formula`` takes every row from one ``run_distributions(n_max)``
-    call (order 200 in about three seconds).  The |Q_n| column is the
-    product formula.  The two enumerations fill their ``flat`` and
-    ``flat_k`` entries with provenance ``enumeration``, the formula with
-    ``formula``.  An enumeration checks every order against the budget,
-    ascending, before it counts the first.
+    Only the run distribution comes from ``mode``, and each mode takes
+    every row from one pass: ``filter`` from one walk of the insertion
+    tree pruned to flattened words (``_walk_stats``; the default budget
+    caps |Q_n| at n = 9, and orders 1-9 take about 0.1 s), ``bijection``
+    from one block-by-block count of the partition images
+    (``image_run_distributions``; the default budget caps them at n = 11,
+    and orders 1-11 take about 0.15 s on 2 CPUs, 1-12 about 0.45 s), and
+    ``formula`` from one ``run_distributions(n_max)`` call (order 200 in
+    about three seconds).  The |Q_n| column is the product formula.  The
+    two enumerations fill their ``flat`` and ``flat_k`` entries with
+    provenance ``enumeration``, the formula with ``formula``.  An
+    enumeration checks every order against the budget, ascending, before
+    it counts the first.
     """
     if mode not in ("filter", "bijection", "formula"):
         raise ValueError(f"unknown mode {mode!r} (expected 'filter', 'bijection' or 'formula')")
@@ -120,16 +123,16 @@ def flat_k_table(n_max: int, mode: str = "bijection", budget: int = DEFAULT_BUDG
             _check_images(n, budget)
         elif mode == "filter":
             _check_budget(n, 2, budget)
-    rows = run_distributions(n_max) if mode == "formula" and n_max >= 1 else {}
+    if mode == "formula":
+        rows = run_distributions(n_max) if n_max >= 1 else {}
+    elif mode == "bijection":
+        rows = image_run_distributions(n_max)
+    else:
+        rows = [stats.flat_by_runs for stats in _walk_stats(n_max, 2)]
     provenance = "formula" if mode == "formula" else "enumeration"
     table = CountTable()
     for n in range(1, n_max + 1):
-        if mode == "filter":
-            by_runs = count_stirling_stats(n, 2, budget=budget).flat_by_runs
-        elif mode == "bijection":
-            by_runs = count_runs_via_bijection(n, budget=budget)
-        else:
-            by_runs = rows[n]
+        by_runs = rows[n]
         table.put("stirling", n, 2, None, mstirling_count(n, 2), "formula")
         table.put("flat", n, 2, None, sum(by_runs.values()), provenance)
         for k, cnt in sorted(by_runs.items()):
@@ -142,10 +145,11 @@ def mstirling_table(
 ) -> CountTable:
     """Fill flattened m-fold counts for 1 <= n <= n_max, 2 <= m <= m_max.
 
-    ``filter`` is the pruned insertion walk, which checks every cell
-    against the budget, in loop order, before it counts the first;
-    ``formula`` evaluates the recurrence, one ``flatm_counts`` pass per
-    m.  Both modes record |Q_n^m| by its product formula.
+    ``filter`` is the pruned insertion walk, one ``_walk_stats`` per m
+    for all its orders, which checks every cell against the budget, in
+    loop order, before it counts the first; ``formula`` evaluates the
+    recurrence, one ``flatm_counts`` pass per m.  Both modes record
+    |Q_n^m| by its product formula.
     """
     if mode == "formula":
         columns = {m: flatm_counts(n_max, m) for m in range(2, m_max + 1)}
@@ -155,15 +159,15 @@ def mstirling_table(
         for n in range(1, n_max + 1):
             for m in range(2, m_max + 1):
                 _check_budget(n, m, budget)
+        columns = {
+            m: [stats.flat_total for stats in _walk_stats(n_max, m)] for m in range(2, m_max + 1)
+        }
+    provenance = "formula" if mode == "formula" else "enumeration"
     table = CountTable()
     for n in range(1, n_max + 1):
         for m in range(2, m_max + 1):
             table.put("stirling", n, m, None, mstirling_count(n, m), "formula")
-            if mode == "filter":
-                stats = count_stirling_stats(n, m, budget=budget)
-                table.put("mstirling_flat", n, m, None, stats.flat_total, "enumeration")
-            else:
-                table.put("mstirling_flat", n, m, None, columns[m][n], "formula")
+            table.put("mstirling_flat", n, m, None, columns[m][n], provenance)
     return table
 
 

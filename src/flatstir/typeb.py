@@ -433,16 +433,17 @@ def _signed_variants(
     """encode(negatives, positives) for each of a block's 2^(s-1) signed variants.
 
     The minimum stays positive.  Variant j negates the non-minimal
-    elements whose bits are set in j (bit 0 = smallest).
+    elements whose bits are set in j (bit 0 = smallest).  The sign pairs
+    double once per element, ascending: the element's bit is the highest
+    so far, so the pairs holding it positive come first, in the order
+    already built, then the same pairs holding it negative.
     """
-    low, rest = block[0], block[1:]
-    return [
-        encode(
-            tuple(v for j, v in enumerate(rest) if mask >> j & 1),
-            (low,) + tuple(v for j, v in enumerate(rest) if not mask >> j & 1),
-        )
-        for mask in range(1 << len(rest))
-    ]
+    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), block[:1])]
+    for v in block[1:]:
+        pairs = [(neg, pos + (v,)) for neg, pos in pairs] + [
+            (neg + (v,), pos) for neg, pos in pairs
+        ]
+    return [encode(neg, pos) for neg, pos in pairs]
 
 
 def _iter_typeb_stream(

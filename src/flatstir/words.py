@@ -39,15 +39,17 @@ flattened iff w[g] is at most that next leader, and has one more run.
 The pruned walk thus visits only flattened words and their children, for
 every m, and yields the flattened words in the order of the full stream.
 
-Counting the words of the last order needs none of them built.  By the
-same cases, a flattened w with r >= 1 runs has exactly r flattened
-children with r runs (the end gap and the r - 1 descents) and one with
-r + 1 runs for each gap inside a run whose letter is at most the next
-leader; the empty word has one child, with one run.  Each child's run
-count is fixed by its parent alone, so the counts by run number at
-order n are tallied from the flattened words of order n - 1 by one scan
-of each, and the walk builds no word of order n.  One serial walk from
-the empty word gives every count; nothing here starts a process.
+Counting the words of an order needs none of them built.  By the same
+cases, a flattened w with r >= 1 runs has exactly r flattened children
+with r runs (the end gap and the r - 1 descents) and one with r + 1
+runs for each gap inside a run whose letter is at most the next leader;
+the empty word has one child, with one run.  Each child's run count is
+fixed by its parent alone, so the counts by run number at order v + 1
+are tallied from the flattened words of order v by one scan of each.
+One serial walk from the empty word to order n - 1 meets every
+flattened word of every order below n, so it tallies every order
+0..n at once and builds no word of order n; nothing here starts a
+process.
 """
 
 from __future__ import annotations
@@ -272,8 +274,10 @@ def generate_flattened_filter(
 ) -> Iterator[StirlingWord]:
     """The flattened subsequence of ``generate_stirling``, from the pruned walk."""
     _check_budget(n, m, budget)
-    for letters, _ in _walk_flat((), 0, n, m, StirlingStats(n, m)):
-        yield StirlingWord._trusted(letters, m)
+    length = n * m
+    for letters, _ in _walk_flat((), 0, n, m):
+        if len(letters) == length:
+            yield StirlingWord._trusted(letters, m)
 
 
 @dataclass
@@ -316,21 +320,28 @@ def _flat_gaps(word: tuple[int, ...], runs: int) -> list[tuple[int, int]]:
 
 
 def _walk_flat(
-    word: tuple[int, ...], runs: int, stop: int, m: int, stats: StirlingStats
+    word: tuple[int, ...], runs: int, stop: int, m: int
 ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (letters, runs) for each flattened descendant of ``word`` of order ``stop``.
+    """Yield (letters, runs) for ``word`` and each flattened descendant up to order ``stop``.
 
-    ``word`` is flattened with ``runs`` runs; descendants come in insertion
-    order.  Each child tried adds 1 to ``stats.visited``.
+    ``word`` is flattened with ``runs`` runs and of order at most ``stop``.
+    Words come in preorder, each before its children, so the words of any
+    one order come in insertion order.  The pending words are a stack,
+    children pushed last gap first, so the stack holds at most the
+    children of the words on the current path, and a word is yielded
+    from one frame at any depth.
     """
-    v = len(word) // m + 1
-    if v > stop:
+    pending = [(word, runs)]
+    while pending:
+        word, runs = pending.pop()
         yield word, runs
-        return
-    stats.visited += len(word) + 1
-    block = (v,) * m
-    for gap, child_runs in _flat_gaps(word, runs):
-        yield from _walk_flat(word[:gap] + block + word[gap:], child_runs, stop, m, stats)
+        v = len(word) // m + 1
+        if v <= stop:
+            block = (v,) * m
+            pending += [
+                (word[:gap] + block + word[gap:], child_runs)
+                for gap, child_runs in reversed(_flat_gaps(word, runs))
+            ]
 
 
 def _tally_children(word: tuple[int, ...], runs: int, by_runs: dict[int, int]) -> None:
@@ -358,21 +369,25 @@ def _tally_children(word: tuple[int, ...], runs: int, by_runs: dict[int, int]) -
         by_runs[runs + 1] = by_runs.get(runs + 1, 0) + added
 
 
-def _walk_stats(n: int, m: int) -> StirlingStats:
-    """Pruned-walk counts for the flattened words of order n, from the empty word.
+def _walk_stats(n: int, m: int) -> list[StirlingStats]:
+    """Pruned-walk counts for the flattened words of every order 0..n, from one walk.
 
-    The walk stops one order short of n and tallies the last order's
-    flattened words from their parents' gaps, without building them.
+    The walk stops one order short of n and tallies the flattened children
+    of each word of order v into row v + 1, so the words of order n are
+    never built.  Each flattened word of order v tries all its v*m + 1
+    gaps, so ``visited`` at order v + 1 is that at order v plus
+    flat(v) * (v*m + 1).  ``total`` is |Q_v^m| by its product formula.
     """
-    stats = StirlingStats(n, m)
-    by_runs = stats.flat_by_runs
-    if n == 0:
-        by_runs[0] = 1
-    else:
-        for word, k in _walk_flat((), 0, n - 1, m, stats):
-            stats.visited += len(word) + 1
-            _tally_children(word, k, by_runs)
-    stats.flat_total = sum(by_runs.values())
+    rows: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n)]
+    if n:
+        for word, runs in _walk_flat((), 0, n - 1, m):
+            _tally_children(word, runs, rows[len(word) // m + 1])
+    stats = []
+    visited = 0
+    for v, by_runs in enumerate(rows):
+        flat = sum(by_runs.values())
+        stats.append(StirlingStats(v, m, mstirling_count(v, m), flat, by_runs, visited))
+        visited += flat * (v * m + 1)
     return stats
 
 
@@ -389,10 +404,8 @@ def count_stirling_stats(
     parents' gaps, never built (``visited`` still counts them).  The budget
     caps |Q_n^m|, which is also ``total``.  The walk is one serial pass.
     """
-    projected = _check_budget(n, m, budget)
-    stats = _walk_stats(n, m)
-    stats.total = projected
-    return stats
+    _check_budget(n, m, budget)
+    return _walk_stats(n, m)[n]
 
 
 def format_word(word: StirlingWord | Iterable[int]) -> str:

@@ -1,7 +1,7 @@
 """Session-scoped exhaustive enumerations shared across test modules.
 
 The heavy streams (brute-force word scans up to order 8, all partitions up to
-[-7, 7], run distributions up to order 10) are computed once per session
+[-7, 7], run distributions up to order 11) are computed once per session
 so the acceptance criteria can share them.
 """
 
@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from flatstir.tables import count_runs_via_bijection
+from flatstir.bijection import image_run_distributions
 from flatstir.typeb import generate_typeb
 from flatstir.words import generate_flattened_filter
 
@@ -38,5 +38,5 @@ def partitions():
 
 @pytest.fixture(scope="session")
 def bijection_runs():
-    """Run-count distribution of flattened doubled words, order 1..10, via images."""
-    return {n: count_runs_via_bijection(n) for n in range(1, 11)}
+    """Run-count distribution of flattened doubled words, order 1..11, via images, from one call."""
+    return image_run_distributions(11)

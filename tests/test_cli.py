@@ -151,6 +151,12 @@ class TestTable:
             assert code == 2 and out == ""
             assert err == "error: --max-k applies to the run-count table, not --mstirling\n"
 
+    def test_mstirling_bijection_mode_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--mstirling", "--max-n", "3",
+                                 "--mode", "bijection")
+        assert code == 2 and out == ""
+        assert err == "error: the m-fold table supports --mode filter or formula\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -493,8 +499,8 @@ def test_over_budget_table_refuses_before_counting_any_row(capsys, monkeypatch, 
     def refuse(*args, **kwargs):
         raise AssertionError("a row was counted")
 
-    monkeypatch.setattr(tables, "count_runs_via_bijection", refuse)
-    monkeypatch.setattr(tables, "count_stirling_stats", refuse)
+    monkeypatch.setattr(tables, "image_run_distributions", refuse)
+    monkeypatch.setattr(tables, "_walk_stats", refuse)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert err == f"error: {refusal}, exceeding the budget of 50000000\n"

@@ -3,7 +3,8 @@
 The digests were taken from the build before the run scanners, budget
 guards and pool paths were merged, and those of the formula path from
 the build before ``dowling`` and ``flatm_series`` became row sums of the
-r-Whitney triangle; a refactor that changes any printed byte fails
+r-Whitney triangle, and those of the largest enumeration tables from the
+build before each table took all its rows from one pass; a refactor that changes any printed byte fails
 here.  ``elapsed_seconds`` lines are dropped before hashing.  The error
 text of ``map phi`` for non-canonical partitions is pinned byte for
 byte, one case per validation diagnostic, and so is that of ``map psi``
@@ -42,6 +43,13 @@ GOLDEN = [
      "4556a1029c712ec8f7ce28e3e9c5d4ce329628111d83430eba1a4f3aa60c182c"),
     (["map", "psi", "2211"], 4,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # one enumeration pass per table: every row of one image count or one walk per m
+    (["table", "--max-n", "11"], 0,
+     "c33b57c369ddeb79368ba8accd5c96572d9ae879c83e8c0b2df1fb5eb4962768"),
+    (["table", "--max-n", "8", "--mode", "filter", "--format", "json"], 0,
+     "b6578a6ec352790f6dd9670119f9de8b26f33ba7e757568d4ff4b48d69fb2c1c"),
+    (["table", "--mstirling", "--max-n", "6", "--max-m", "5", "--mode", "filter"], 0,
+     "fe75aaba9bc85d77b7982aff2c22eb9b8670faf9ebead6bc76ce5382a511c5bd"),
     (["verify", "table1", "--max-n", "5"], 0,
      "70679371bf681b5a0b3490dd576ae65fff4720f53db859d4d2884696208adc0c"),
     # the formula path: every output that dowling and flatm_series reach

@@ -1,9 +1,10 @@
 """Run counts of the partition images, counted per block without building the words.
 
-``image_run_distribution`` multiplies per-block descent histograms
+``image_run_distributions`` multiplies per-block descent histograms
 (``_block_descents``) in a recurrence on the block holding the smallest
-magnitude.  These tests pin it to the run counts of the built image
-words order by order and to the formula up to order 11, pin the product
+magnitude, every order from one memo.  These tests pin it to the run
+counts of the built image words order by order and to the formula up to
+order 11, for each row read alone and for all rows of one call, pin the product
 of a shape's histograms to its words, and pin each histogram to the
 descents of explicitly signed block segments.
 """
@@ -59,6 +60,16 @@ def test_count_equals_table1_and_the_formula(bijection_runs):
     rows = run_distributions(10)
     for n in range(1, 11):
         assert bijection_runs[n] == TABLE1[n][2] == rows[n], n
+
+
+def test_one_call_gives_every_row(bijection_runs):
+    """The fixture's rows, all from one ``image_run_distributions(11)`` call and
+    so counted with order 11's histogram width: the formula at every order
+    and the built image words up to order 9 (Table 1 up to order 10 is
+    ``test_count_equals_table1_and_the_formula``)."""
+    assert bijection_runs == run_distributions(11)
+    for n in range(1, 10):
+        assert bijection_runs[n] == _built_runs(iter_flattened_letters(n)), n
 
 
 def test_count_at_the_largest_order_the_default_budget_admits():

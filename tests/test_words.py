@@ -1,14 +1,16 @@
 """Word predicates, statistics, generators, and the word text format."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, strategies as st
 
 from flatstir.errors import BudgetExceededError, NotStirlingError, WordSyntaxError
 from flatstir.words import (
-    StirlingStats,
     StirlingWord,
     _tally_children,
     _walk_flat,
+    _walk_stats,
     count_stirling_stats,
     descent_count,
     format_word,
@@ -81,6 +83,18 @@ def test_count_stirling_stats_pinned_on_the_budget_grid(n, m):
     stats = count_stirling_stats(n, m)
     assert (stats.order, stats.multiplicity) == (n, m)
     assert (stats.total, stats.flat_total, stats.flat_by_runs, stats.visited) == PINNED_STATS[(n, m)]
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_one_walk_gives_every_pinned_row(m):
+    """``_walk_stats`` tallies every order in one walk; each row is the pinned cell."""
+    n_max = max(n for n, k in PINNED_STATS if k == m)
+    rows = _walk_stats(n_max, m)
+    assert len(rows) == n_max + 1
+    for n, stats in enumerate(rows):
+        assert (stats.order, stats.multiplicity) == (n, m)
+        fields = (stats.total, stats.flat_total, stats.flat_by_runs, stats.visited)
+        assert fields == PINNED_STATS[(n, m)], n
 
 
 class TestIsStirling:
@@ -218,23 +232,23 @@ class TestGenerators:
                         assert not is_flattened(StirlingWord(child, m)), (parent, gap)
 
     def test_flattened_stream_is_the_filtered_full_stream(self):
-        for m in range(1, 4):
-            for n in range(0, 6):
+        for m, n_max in [(1, 5), (2, 6), (3, 5)]:
+            for n in range(n_max + 1):
                 full = [w for w in generate_stirling(n, m) if is_flattened(w)]
                 assert list(generate_flattened_filter(n, m)) == full, (n, m)
 
     def test_last_order_tally_matches_built_children(self):
         # the tally that replaces the last order, at every node of the walk
         for m, n_max in [(1, 6), (2, 8), (3, 7), (4, 7)]:
-            for v in range(n_max):
-                for word, runs in _walk_flat((), 0, v, m, StirlingStats(v, m)):
-                    tally: dict[int, int] = {}
-                    _tally_children(word, runs, tally)
-                    built: dict[int, int] = {}
-                    for child, k in _walk_flat(word, runs, v + 1, m, StirlingStats(v + 1, m)):
-                        assert k == len(run_starts(child))
-                        built[k] = built.get(k, 0) + 1
-                    assert tally == built, (word, m)
+            for word, runs in _walk_flat((), 0, n_max - 1, m):
+                tally: dict[int, int] = {}
+                _tally_children(word, runs, tally)
+                built: dict[int, int] = {}
+                # the walk yields the word itself first, then its children
+                for child, k in islice(_walk_flat(word, runs, len(word) // m + 1, m), 1, None):
+                    assert k == len(run_starts(child))
+                    built[k] = built.get(k, 0) + 1
+                assert tally == built, (word, m)
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_pruned_matches_brute_force_through_the_split(self, m):
