@@ -30,25 +30,25 @@ each letter's first position, so the peel is linear in the word.
 
 Run counts of the images are read per block, not per word.  A word's
 runs are 1 plus its descents, and each adjacent pair lies inside one
-segment or at the join of two, so the runs are the zero-block segment's
-runs plus, for each block, its segment's inner descents and one more if
-the join on its left is a descent.  Every signed variant of a block
-ends on the block's minimum plus one (the minimum stays positive and
-``min_wrapped`` puts it last), so the letter left of each join is fixed
-by the block before it, whatever its signs.  The blocks' signs thus add
-independent descent histograms, and the run distribution of one
-(zero-block, member blocks) shape is their product:
-``image_run_distributions`` reads each block's 2^(s-1) variants once,
-as a histogram of (first letter, inner descents), and sums the shapes
-by a recurrence on the block of the smallest magnitude, instead of
-building every word.  Its states are (remaining magnitudes as a
-bitmask, letter before them).  The magnitudes of order n are 1..n-1, so
-every state of a smaller order is a state of the largest order asked
-for, and one memo gives every row.  On canonical images
-every join is an ascent (the next block's letters exceed its minimum
-plus one, which exceeds the previous block's), but the count still
-compares the letters: it reads the images, not this argument, and stays
-independent of ``run_count_from_partition``.
+segment or at the join of two, so the runs are 1 plus, for each block,
+its segment's inner descents and one more if the join on its left is a
+descent.  The zero-block is the block of magnitude 0: its minimum is
+the lowest, so it comes first, and its one variant is all positive.
+Every signed variant of a block ends on the block's minimum plus one
+(the minimum stays positive and ``min_wrapped`` puts it last), so the
+letter left of each join is fixed by the block before it, whatever its
+signs.  The blocks' signs thus add independent descent histograms, and
+the run distribution of one partition shape is their product:
+``image_run_distributions`` reads each block's variants once, as a
+histogram of (first letter, inner descents), and sums the shapes by a
+recurrence on the block of the smallest magnitude, instead of building
+every word.  Its states are (remaining magnitudes as a bitmask, letter
+before them); those without magnitude 0 are shared by every order, so
+one memo gives every row.  On canonical images every join is an ascent
+(the next block's letters exceed its minimum plus one, which exceeds
+the previous block's), but the count still compares the letters: it
+reads the images, not this argument, and stays independent of
+``run_count_from_partition``.
 """
 
 from __future__ import annotations
@@ -106,29 +106,14 @@ def _variant_descents(block: tuple[int, ...]) -> tuple[dict[tuple[int, int], int
     """Histogram {(first letter, inner descents): variants} of a block; the variants' last letter.
 
     Each of the 2^(s-1) variants is built once by ``_segment`` and read by
-    ``run_starts``.  Every variant ends on the same letter, the block's
-    minimum plus one.
+    ``run_starts``; the zero-block (minimum 0) has one, all positive.
+    Every variant ends on the same letter, the block's minimum plus one.
     """
     hist: dict[tuple[int, int], int] = {}
-    for letters in _signed_variants(block, _segment):
+    for letters in _signed_variants(block, _segment) if block[0] else [_segment((), block)]:
         key = letters[0], len(run_starts(letters)) - 1
         hist[key] = hist.get(key, 0) + 1
     return hist, letters[-1]
-
-
-def _block_descents(block: tuple[int, ...], prev: int) -> tuple[dict[int, int], int]:
-    """A block's descent histogram after the letter ``prev``, and its variants' common last letter.
-
-    The histogram maps a descent count to the number of variants whose
-    segment has that many inner descents plus the join ``prev`` > its
-    first letter.  The last letter is returned as the next block's ``prev``.
-    """
-    variants, last = _variant_descents(block)
-    hist: dict[int, int] = {}
-    for (first, inner), count in variants.items():
-        descents = inner + (prev > first)
-        hist[descents] = hist.get(descents, 0) + count
-    return hist, last
 
 
 def _magnitudes(mask: int) -> tuple[int, ...]:
@@ -139,23 +124,25 @@ def _magnitudes(mask: int) -> tuple[int, ...]:
 def image_run_distributions(n_max: int) -> dict[int, dict[int, int]]:
     """{n: {runs: words}} over the images of the canonical partitions of [-(n-1), n-1], n <= n_max.
 
-    No image is built: its runs are its zero-block segment's runs plus each
-    member block's descents after the letter before it (module docstring).
-    A set of magnitudes is a bitmask, bit v for magnitude v.  The member
-    blocks of ``rest``, ordered by their minima, are one block B holding
-    its lowest bit and then those of rest - B, so their signed variants
-    after the letter ``prev`` have the descent histogram
+    No image is built: its runs are one base run plus each block's
+    descents after the letter before it (module docstring).  A set of
+    magnitudes is a bitmask, bit v for magnitude v.  The blocks of
+    ``rest``, ordered by their minima, are one block B holding its lowest
+    bit and then those of rest - B, so their variants after the letter
+    ``prev`` have the descent histogram
 
-        blocks(rest, prev) = sum over B of _block_descents(B, prev) * blocks(rest - B, last)
+        blocks(rest, prev) = sum over B of packed(B, prev) * blocks(rest - B, last)
 
-    with blocks(0, prev) = 1 and ``last`` the last letter of B's variants.
-    B is the lowest bit joined to each submask of the other bits, taken
-    by ``sub = (sub - 1) & others``.  Order n sums, per zero-block support
-    within 1..n-1, the head's runs times ``blocks`` of the rest after the
-    head.  ``blocks(rest, prev)`` does not depend on n: the magnitudes of
-    order n are 1..n-1, so every state of a smaller order is also a state
-    of order n_max, and one memo serves every row; all rows together cost
-    about what the last row costs.
+    with blocks(0, prev) = 1, ``packed(B, prev)`` the histogram of B's
+    variants' inner descents plus the join ``prev`` > first letter, and
+    ``last`` the last letter of B's variants.  B is the lowest bit joined
+    to each submask of the other bits, taken by ``sub = (sub - 1) & others``.
+    The block holding bit 0 is the zero-block, so order n is
+    blocks((1 << n) - 1, 0) plus one base run; 0 is below every letter,
+    so the first segment adds no join.  The states without bit 0 do not
+    depend on n, so every one of a smaller order is also one of order
+    n_max, and one memo serves every row; all rows together cost about
+    what the last row costs.
 
     A histogram {d: c} is held as the integer sum of c * X**d with
     X = 2**shift, so products convolve histograms and sums add them.  No
@@ -197,11 +184,7 @@ def image_run_distributions(n_max: int) -> dict[int, dict[int, int]]:
     digit = (1 << shift) - 1
     rows = {}
     for n in range(1, n_max + 1):
-        universe = (1 << n) - 2
-        total = 0
-        for support in range(0, 1 << n, 2):
-            head = _segment((), (0, *_magnitudes(support)))
-            total += blocks(universe ^ support, head[-1]) << shift * len(run_starts(head))
+        total = blocks((1 << n) - 1, 0) << shift
         counts = (total >> shift * runs & digit for runs in range(total.bit_length() // shift + 1))
         rows[n] = {runs: count for runs, count in enumerate(counts) if count}
     return rows

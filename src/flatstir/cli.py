@@ -107,6 +107,12 @@ def _below_minimum(args) -> str | None:
     return None
 
 
+def _usage_error(message) -> int:
+    """Report a usage error: one ``error:`` line on stderr, and exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_gen(args) -> int:
     if args.object == "typeb":
         items = (typeb.format_partition(p) for p in typeb.generate_typeb(args.n, budget=args.budget))
@@ -117,8 +123,7 @@ def _cmd_gen(args) -> int:
     else:
         if args.via == "bijection":
             if args.m != 2 or args.n < 1:
-                print("gen flat --via bijection requires --m 2 and --n 1 or more", file=sys.stderr)
-                return 2
+                return _usage_error("gen flat --via bijection requires --m 2 and --n 1 or more")
             items = (
                 words.format_word(w)
                 for w in bijection.generate_flattened_from_partitions(args.n, budget=args.budget)
@@ -156,32 +161,26 @@ def _cmd_table(args) -> int:
     if args.mstirling:
         mode = args.mode or "formula"
         if mode == "bijection":
-            print("error: the m-fold table supports --mode filter or formula", file=sys.stderr)
-            return 2
+            return _usage_error("the m-fold table supports --mode filter or formula")
         if args.max_k is not None:
-            print("error: --max-k applies to the run-count table, not --mstirling", file=sys.stderr)
-            return 2
+            return _usage_error("--max-k applies to the run-count table, not --mstirling")
         _check_table_size(args, args.max_m - 1)
     else:
         mode = args.mode or "bijection"
         if args.max_k is not None and args.max_k < max_runs(args.max_n):
-            print(
-                f"error: --max-k {args.max_k} would drop nonzero cells: "
-                f"max_runs({args.max_n}) = {max_runs(args.max_n)}",
-                file=sys.stderr,
+            return _usage_error(
+                f"--max-k {args.max_k} would drop nonzero cells: "
+                f"max_runs({args.max_n}) = {max_runs(args.max_n)}"
             )
-            return 2
         _check_table_size(args, 2 + (args.max_k or max_runs(args.max_n)))
     if mode == "formula" and (
         args.max_n > tables.FORMULA_MAX_ORDER
         or args.mstirling and args.max_m > tables.FORMULA_MAX_MULTIPLICITY
     ):
-        print(
-            f"error: --mode formula takes --max-n up to {tables.FORMULA_MAX_ORDER} "
-            f"and --max-m up to {tables.FORMULA_MAX_MULTIPLICITY}",
-            file=sys.stderr,
+        return _usage_error(
+            f"--mode formula takes --max-n up to {tables.FORMULA_MAX_ORDER} "
+            f"and --max-m up to {tables.FORMULA_MAX_MULTIPLICITY}"
         )
-        return 2
     if args.mstirling:
         table = tables.mstirling_table(args.max_n, args.max_m, mode=mode, budget=args.budget)
     else:
@@ -213,8 +212,7 @@ def _cmd_oeis(args) -> int:
     else:
         matches = [g for g, s in oeis.GENERATORS.items() if s.sequence_id == args.sequence]
         if not matches:
-            print(f"no registered generator for {args.sequence!r}", file=sys.stderr)
-            return 2
+            return _usage_error(f"no registered generator for {args.sequence!r}")
         generator = matches[0]
     spec = oeis.GENERATORS[generator]
     if args.bfile:
@@ -241,8 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     complaint = _below_minimum(args)
     if complaint:
-        print(f"error: {complaint}", file=sys.stderr)
-        return 2
+        return _usage_error(complaint)
     handlers = {
         "gen": _cmd_gen,
         "map": _cmd_map,
@@ -261,8 +258,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:  # a missing, unreadable or directory path is a usage error
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
 
 
 if __name__ == "__main__":

@@ -32,14 +32,16 @@ def stirling2(a: int, b: int) -> int:
     """Stirling number of the second kind: partitions of an a-set into b nonempty blocks.
 
     Convention: S(0, 0) = 1 (the empty partition) and S(a, 0) = 0 for a >= 1.
+    Row a of the triangle of m = 1: there r = 0, and
+    T(p+1, k) = k * T(p, k) + T(p, k-1) is the recurrence for S(p, k).
     """
     if a < 0 or b < 0:
         raise ValueError("arguments must be nonnegative")
     if b > a:
         return 0
     row = [1]
-    for i in range(1, a + 1):
-        row = [0] + [j * row[j] + row[j - 1] for j in range(1, i)] + [1]
+    for _ in range(a):
+        row = _triangle_row(row, 1)
     return row[b]
 
 

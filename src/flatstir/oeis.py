@@ -132,12 +132,16 @@ class SequenceComparison:
 def compare_sequence(
     sequence: OeisSequence, generator: str, max_terms: int | None = None
 ) -> SequenceComparison:
-    """Compare the b-file terms against the local generator over their overlap."""
+    """Compare the b-file terms against the local generator over their overlap,
+    which starts at index 0: every generator is defined from there up."""
     spec = GENERATORS[generator]
+    terms = [(index, value) for index, value in sequence.terms if index >= 0]
+    if not terms:
+        raise BFileFormatError("no index of 0 or more (every generator starts at index 0)")
     checked = 0
     first = last = 0
     mismatch = None
-    for index, value in sequence.terms:
+    for index, value in terms:
         if max_terms is not None and checked >= max_terms:
             break
         local = spec.local_term(index)

@@ -18,8 +18,10 @@ Each suite re-derives a family of facts two ways and compares:
   m-fold recurrence/series/count identities.
 
 Each suite takes an order bound and the enumeration budget, and runs in
-this process: the exhaustive scans are the serial pruned walk.  Reports
-are deterministic apart from the clearly marked elapsed field.
+this process: the exhaustive scans are the serial pruned walk.  Each
+suite makes one pass per row source, up to the largest order the budget
+admits: one ``image_run_distributions`` call, one ``_walk_stats`` per m.
+Reports are deterministic apart from the clearly marked elapsed field.
 """
 
 from __future__ import annotations
@@ -94,6 +96,22 @@ def _guard(report: VerificationReport, description: str, expected, thunk) -> Non
     report.add(description, expected, actual)
 
 
+def _image_rows(max_n: int, budget: int):
+    """Order n -> its image run row: one count for every order within the budget,
+    the refusal of ``count_runs_via_bijection`` above them.  The projection
+    dowling(n - 1) rises with n, so the orders within the budget are 1..top."""
+    top = next((n - 1 for n in range(1, max_n + 1) if dowling(n - 1) > budget), max_n)
+    rows = bijection.image_run_distributions(top)
+    return lambda n: rows[n] if n in rows else tables.count_runs_via_bijection(n, budget)
+
+
+def _walk_rows(max_n: int, m: int, budget: int) -> list[words.StirlingStats]:
+    """One walk's rows, for every order up to max_n whose |Q_n^m| fits the budget
+    (|Q_n^m| rises with n, as ``_image_rows``' projection does)."""
+    top = next((n - 1 for n in range(1, max_n + 1) if mstirling_count(n, m) > budget), max_n)
+    return words._walk_stats(top, m)
+
+
 def verify_bijection(max_n: int = 6, budget: int = words.DEFAULT_BUDGET) -> VerificationReport:
     report = VerificationReport("bijection")
     start = time.monotonic()
@@ -140,6 +158,7 @@ def verify_bijection(max_n: int = 6, budget: int = words.DEFAULT_BUDGET) -> Veri
 def verify_runs(max_n: int = 6, budget: int = words.DEFAULT_BUDGET) -> VerificationReport:
     report = VerificationReport("runs")
     start = time.monotonic()
+    image_row = _image_rows(max_n, budget)
     for order in range(1, max_n + 1):
         def formula_vs_actual(order=order):
             bad = 0
@@ -155,7 +174,7 @@ def verify_runs(max_n: int = 6, budget: int = words.DEFAULT_BUDGET) -> Verificat
                0, formula_vs_actual)
 
         def max_run_bound(order=order):
-            by_runs = tables.count_runs_via_bijection(order, budget=budget)
+            by_runs = image_row(order)
             witness = bijection.max_runs_witness(order)
             attained = max(by_runs)
             witness_runs = words.run_decomposition(witness).run_count
@@ -177,18 +196,17 @@ def _row_text(total: int, flat: int, by_runs: dict[int, int]) -> str:
 def verify_table1(max_n: int = 7, budget: int = words.DEFAULT_BUDGET) -> VerificationReport:
     report = VerificationReport("table1")
     start = time.monotonic()
-    for n in range(1, min(max_n, 10) + 1):
-        total, flat, by_runs = reference.TABLE1[n]
-        expected = _row_text(total, flat, by_runs)
-        if mstirling_count(n, 2) <= budget:
-            def filter_row(n=n):
-                stats = words.count_stirling_stats(n, 2, budget=budget)
-                return _row_text(stats.total, stats.flat_total, stats.flat_by_runs)
-
-            _guard(report, f"n={n}: exhaustive filter row", expected, filter_row)
+    max_n = min(max_n, 10)
+    walk, image_row = _walk_rows(max_n, 2, budget), _image_rows(max_n, budget)
+    for n in range(1, max_n + 1):
+        expected = _row_text(*reference.TABLE1[n])
+        if n < len(walk):
+            stats = walk[n]
+            filter_row = _row_text(stats.total, stats.flat_total, stats.flat_by_runs)
+            report.add(f"n={n}: exhaustive filter row", expected, filter_row)
 
         def bijection_row(n=n):
-            by = tables.count_runs_via_bijection(n, budget=budget)
+            by = image_row(n)
             return _row_text(mstirling_count(n, 2), sum(by.values()), by)
 
         _guard(report, f"n={n}: partition-image row", expected, bijection_row)
@@ -199,16 +217,12 @@ def verify_table1(max_n: int = 7, budget: int = words.DEFAULT_BUDGET) -> Verific
 def verify_table2(max_n: int = 5, budget: int = words.DEFAULT_BUDGET) -> VerificationReport:
     report = VerificationReport("table2")
     start = time.monotonic()
-    for (n, m), expected in reference.TABLE2.items():  # n-major, n <= 7, m = 2..5
-        if n > max_n:
-            continue
-        if mstirling_count(n, m) <= budget:
-            _guard(
-                report,
-                f"n={n} m={m}: exhaustive flattened count",
-                expected,
-                lambda n=n, m=m: words.count_stirling_stats(n, m, budget=budget).flat_total,
-            )
+    grid = [(n, m) for n, m in reference.TABLE2 if n <= max_n]  # n-major, n <= 7, m = 2..5
+    walks = {m: _walk_rows(grid[-1][0], m, budget) for m in {m for _, m in grid}}
+    for n, m in grid:
+        expected = reference.TABLE2[n, m]
+        if n < len(walks[m]):
+            report.add(f"n={n} m={m}: exhaustive flattened count", expected, walks[m][n].flat_total)
         report.add(f"n={n} m={m}: recurrence", expected, flatm_recurrence(n, m))
         report.add(f"n={n} m={m}: certified series", expected, flatm_series(n, m))
     report.elapsed_seconds = time.monotonic() - start
@@ -218,16 +232,10 @@ def verify_table2(max_n: int = 5, budget: int = words.DEFAULT_BUDGET) -> Verific
 def verify_conjectures(max_n: int = 10, budget: int = words.DEFAULT_BUDGET) -> VerificationReport:
     report = VerificationReport("conjectures")
     start = time.monotonic()
+    image_row = _image_rows(min(max_n, 10), budget)
     for n in range(1, min(max_n, 10) + 1):
-        def enumerated_flat3(n=n):
-            return tables.count_runs_via_bijection(n, budget=budget).get(3, 0)
-
-        _guard(
-            report,
-            f"three-run formula vs enumerated count, n={n}",
-            flat3_conjecture(n),
-            enumerated_flat3,
-        )
+        _guard(report, f"three-run formula vs enumerated count, n={n}", flat3_conjecture(n),
+               lambda n=n: image_row(n).get(3, 0))
     report.add(
         "two-run closed form vs recurrence, n<=30",
         0,

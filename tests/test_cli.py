@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from flatstir import tables, words
+from flatstir import oeis, tables, words
 from flatstir.cli import build_parser, main
 from flatstir.errors import BudgetExceededError
 from flatstir.reference import PAIRS_ORDER4, TABLE1
@@ -230,6 +230,20 @@ class TestOeis:
                                str(tmp_path / "none.txt"))
         assert code == 2
 
+    @pytest.mark.parametrize("generator", sorted(oeis.GENERATORS))
+    def test_negative_indices_lie_outside_every_generator(self, capsys, tmp_path, generator):
+        """Each generator starts at index 0, so a negative index is skipped;
+        a b-file with no other index is one exit-2 error line, not a traceback."""
+        term = oeis.GENERATORS[generator].local_term
+        path = tmp_path / "b.txt"
+        path.write_text(f"-2 5\n-1 1\n0 {term(0)}\n1 {term(1)}\n")
+        code, out, err = run_cli(capsys, "oeis", generator, "--bfile", str(path))
+        assert (code, err) == (0, "") and "2 terms match (indices 0..1)" in out
+        path.write_text("-1 1\n")
+        code, out, err = run_cli(capsys, "oeis", generator, "--bfile", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: no index of 0 or more (every generator starts at index 0)\n"
+
 
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
@@ -308,6 +322,23 @@ def test_out_of_range_argument_exits_2_without_traceback(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "flat", "--n", "3", "--m", "3", "--via", "bijection"],
+        ["gen", "flat", "--n", "0", "--via", "bijection"],
+        ["oeis", "A000001"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_handler_usage_error_is_one_prefixed_line(capsys, argv):
+    """The usage errors a handler reports itself read like every other: exit 2,
+    nothing on stdout, one stderr line starting ``error: ``."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 LONG = "7" * 5000  # more digits than int() converts at Python's default limit of 4300

@@ -4,8 +4,10 @@ The digests were taken from the build before the run scanners, budget
 guards and pool paths were merged, and those of the formula path from
 the build before ``dowling`` and ``flatm_series`` became row sums of the
 r-Whitney triangle, and those of the largest enumeration tables from the
-build before each table took all its rows from one pass; a refactor that changes any printed byte fails
-here.  ``elapsed_seconds`` lines are dropped before hashing.  The error
+build before each table took all its rows from one pass, and those of
+the budgeted verify suites from the build before each suite took its
+rows from one pass per source; a refactor that changes any printed byte
+fails here.  ``elapsed_seconds`` lines are dropped before hashing.  The error
 text of ``map phi`` for non-canonical partitions is pinned byte for
 byte, one case per validation diagnostic, and so is that of ``map psi``
 for malformed, non-Stirling and non-flattened words.  The merged run
@@ -52,6 +54,17 @@ GOLDEN = [
      "fe75aaba9bc85d77b7982aff2c22eb9b8670faf9ebead6bc76ce5382a511c5bd"),
     (["verify", "table1", "--max-n", "5"], 0,
      "70679371bf681b5a0b3490dd576ae65fff4720f53db859d4d2884696208adc0c"),
+    # the verify suites under budgets that refuse some rows: one pass per row source
+    (["verify", "all", "--budget", "3000"], 1,
+     "2922fdf2b6e450e6c44de8d90967e2b43f7669ac08b80fee3be433f2d96fcf14"),
+    (["verify", "table1", "--max-n", "12"], 0,
+     "45a334a6cc34ed1029caf67e7a162fcd230beb81dabd77031c834ddc4ce4d814"),
+    (["verify", "table2", "--budget", "100"], 0,
+     "b1d555f0758a2e8d97065feb935e91b059f7a9a88b393d1149627f5ea6101357"),
+    (["verify", "runs", "--max-n", "8", "--budget", "5000"], 1,
+     "c7bd12e840dc434cfebe6ab29fac1ae2caf0697293550350e11ff07cd976eaa7"),
+    (["verify", "conjectures", "--budget", "20000"], 1,
+     "e071a5aeb7768e71eff1870de977276c4458b1b52a6f7a08831338d4c722da4b"),
     # the formula path: every output that dowling and flatm_series reach
     (["table", "--mode", "formula", "--max-n", "60"], 0,
      "f45c5ccd60a63d7c988ebab670c1494c064e5c2a0437a7f4d734d2b6b8fa1c99"),

@@ -1,12 +1,14 @@
 """Run counts of the partition images, counted per block without building the words.
 
 ``image_run_distributions`` multiplies per-block descent histograms
-(``_block_descents``) in a recurrence on the block holding the smallest
-magnitude, every order from one memo.  These tests pin it to the run
-counts of the built image words order by order and to the formula up to
-order 11, for each row read alone and for all rows of one call, pin the product
-of a shape's histograms to its words, and pin each histogram to the
-descents of explicitly signed block segments.
+(``_variant_descents`` plus the join after the previous letter) in one
+recurrence on the block holding the smallest magnitude, the zero-block
+(magnitude 0) first, every order from one memo.  These tests pin it to
+the run counts of the built image words order by order and to the
+formula up to order 11, for each row read alone and for all rows of one
+call, pin the product of a shape's histograms, zero-block included, to
+its words, and pin each histogram to the descents of explicitly signed
+block segments.
 """
 
 from collections import Counter
@@ -16,8 +18,8 @@ import pytest
 
 from flatstir import tables
 from flatstir.bijection import (
-    _block_descents,
     _segment,
+    _variant_descents,
     iter_flattened_letters,
     min_wrapped,
     shift_magnitudes,
@@ -43,12 +45,17 @@ def _shapes(n: int):
             yield (0,) + support, members
 
 
-def _convolve(dist: Counter, hist: dict[int, int]) -> Counter:
+def _convolve(dist: Counter, prev: int, variants: dict[tuple[int, int], int]) -> Counter:
+    """``dist`` times a block's variants after the letter ``prev``: each adds its
+    inner descents, and one more where ``prev`` exceeds its first letter."""
     out: Counter = Counter()
     for runs, count in dist.items():
-        for descents, variants in hist.items():
-            out[runs + descents] += count * variants
+        for (first, inner), ways in variants.items():
+            out[runs + inner + (prev > first)] += count * ways
     return out
+
+
+ONE = Counter({0: 1})
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -81,16 +88,16 @@ def test_count_at_the_largest_order_the_default_budget_admits():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_each_shape_is_the_product_of_its_block_histograms(n):
     """The words of one (zero-block, remainder partition) shape come out
-    consecutively, one per sign vector; their run counts are the head's
-    runs convolved with each block's histogram."""
+    consecutively, one per sign vector; their run counts are one base run
+    convolved with each block's histogram, the zero-block's first and
+    after the letter 0."""
     stream = iter_flattened_letters(n)
     for zero_block, members in _shapes(n - 1):
         size = 1 << sum(len(block) - 1 for block in members)
-        head = _segment((), zero_block)
-        dist, prev = Counter({len(run_starts(head)): 1}), head[-1]
-        for block in members:
-            hist, prev = _block_descents(block, prev)
-            dist = _convolve(dist, hist)
+        dist, prev = Counter({1: 1}), 0
+        for block in (zero_block, *members):
+            variants, last = _variant_descents(block)
+            dist, prev = _convolve(dist, prev, variants), last
         assert dist == _built_runs(islice(stream, size)), (zero_block, members)
     assert next(stream, None) is None
 
@@ -107,10 +114,10 @@ def test_block_histogram_reads_the_letters_after_any_previous_letter(size):
             for k in range(len(rest) + 1)
             for negatives in combinations(rest, k)
         ]
+        hist, last = _variant_descents(block)
         for prev in range(1, 9):
-            hist, last = _block_descents(block, prev)
             expected = Counter(len(run_starts((prev,) + letters)) - 1 for letters in variants)
-            assert hist == expected, (block, prev)
+            assert _convolve(ONE, prev, hist) == expected, (block, prev)
             assert {letters[-1] for letters in variants} == {last} == {low + 1}
 
 
@@ -122,7 +129,8 @@ def test_canonical_images_have_no_descent_at_a_join():
         for zero_block, members in _shapes(n - 1):
             prev = _segment((), zero_block)[-1]
             for block in members:
-                hist, last = _block_descents(block, prev)
-                assert hist == _block_descents(block, 0)[0], (zero_block, members)
+                variants, last = _variant_descents(block)
+                assert _convolve(ONE, prev, variants) == _convolve(ONE, 0, variants), (
+                    zero_block, members)
                 prev = last
 

@@ -1,7 +1,10 @@
 """The named verification suites at small scale, and report rendering."""
 
+from collections import Counter
+
 import pytest
 
+from flatstir import bijection, tables, words
 from flatstir.verify import (
     CaseResult,
     VerificationReport,
@@ -64,3 +67,26 @@ def test_budget_constrained_suite_reports_budget_hit():
     # exhaustive rows beyond the budget are recorded as budget failures
     assert report.budget_hit
     assert not report.passed
+
+
+def test_verify_all_makes_one_pass_per_row_source(monkeypatch):
+    """Each suite takes its image rows from one count and its walk rows from
+    one walk per m: 3 image counts (runs, table1, conjectures) and 5 walks
+    (table1 at m = 2, table2 at m = 2..5).  Counting one order per call made
+    23 and 27."""
+    calls: Counter = Counter()
+
+    def wrap(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (bijection, tables):
+        wrap(module, "image_run_distributions")
+    wrap(words, "_walk_stats")
+    assert all(report.passed for report in run_suite("all"))
+    assert calls == {"image_run_distributions": 3, "_walk_stats": 5}
