@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import bijection, oeis, tables, typeb, verify, words
-from .errors import FlatstirError, check_budget
+from .errors import FlatstirError, _describe_count, check_budget
 from .formulas import max_runs
 from .words import DEFAULT_BUDGET
 
@@ -91,9 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
 # value is a usage error (exit 2), not a traceback from the library or a
 # check that examines nothing.
 _MINIMUMS = {
-    "gen": {"n": 0, "m": 1},
-    "table": {"max_n": 1, "max_m": 2, "threads": 1},
-    "verify": {"max_n": 1},
+    "gen": {"n": 0, "m": 1, "budget": 0},
+    "table": {"max_n": 1, "max_m": 2, "threads": 1, "budget": 0},
+    "verify": {"max_n": 1, "budget": 0},
     "oeis": {"max_terms": 1},
 }
 
@@ -222,6 +222,10 @@ def _cmd_oeis(args) -> int:
     result = oeis.compare_sequence(sequence, generator, max_terms=args.max_terms)
     if result.first_mismatch:
         index, filed, local = result.first_mismatch
+        try:
+            local = str(local)
+        except ValueError:  # more digits than Python converts
+            local = _describe_count(local)
         print(
             f"{spec.sequence_id} vs {generator}: MISMATCH at index {index}: "
             f"b-file {filed}, computed {local}"

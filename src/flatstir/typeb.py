@@ -35,7 +35,8 @@ Validation diagnostics use the stable codes::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from functools import cache
+from itertools import chain, combinations, islice
 from operator import lt
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -390,17 +391,13 @@ def parse_partition(text: str) -> TypeBPartition:
     return partition
 
 
-def _subsets_lex(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Subsets in lexicographic order of their ascending element tuples."""
+def _subsets_lex(values: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Subsets of ascending ``values`` in lexicographic order of their element tuples.
 
-    def rec(prefix: tuple[int, ...], start: int) -> Iterator[tuple[int, ...]]:
-        for i in range(start, len(values)):
-            longer = prefix + (values[i],)
-            yield longer
-            yield from rec(longer, i + 1)
-
-    yield ()
-    yield from rec((), 0)
+    Tuples sort lexicographically with a prefix first, so sorting every
+    combination gives the order.
+    """
+    return sorted(chain.from_iterable(combinations(values, r) for r in range(len(values) + 1)))
 
 
 def _set_partitions(values: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -467,13 +464,10 @@ def _iter_typeb_stream(
     each column is the block's variant under sign mask i and zipping the
     columns yields the mask order.
     """
-    memo: dict[tuple[int, ...], list[T]] = {}
 
+    @cache
     def variants(block: tuple[int, ...]) -> list[T]:
-        found = memo.get(block)
-        if found is None:
-            found = memo[block] = _signed_variants(block, encode)
-        return found
+        return _signed_variants(block, encode)
 
     universe = tuple(range(1, n + 1))
     for support in _subsets_lex(universe):

@@ -298,27 +298,6 @@ class StirlingStats:
     visited: int = 0
 
 
-def _flat_gaps(word: tuple[int, ...], runs: int) -> list[tuple[int, int]]:
-    """(gap, run count of the child) for each gap whose child is flattened, left to right.
-
-    ``word`` must be flattened with ``runs`` runs; the child inserts a
-    block of a value above every letter (see the module docstring).
-    """
-    if not word:
-        return [(0, 1)]
-    gaps = [(len(word), runs)]
-    next_leader = math.inf
-    for g in range(len(word) - 1, 0, -1):
-        right = word[g]
-        if word[g - 1] > right:
-            gaps.append((g, runs))
-            next_leader = right
-        elif right <= next_leader:
-            gaps.append((g, runs + 1))
-    gaps.reverse()
-    return gaps
-
-
 def _walk_flat(
     word: tuple[int, ...], runs: int, stop: int, m: int
 ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -326,30 +305,39 @@ def _walk_flat(
 
     ``word`` is flattened with ``runs`` runs and of order at most ``stop``.
     Words come in preorder, each before its children, so the words of any
-    one order come in insertion order.  The pending words are a stack,
-    children pushed last gap first, so the stack holds at most the
-    children of the words on the current path, and a word is yielded
-    from one frame at any depth.
+    one order come in insertion order.  The pending words are a stack: one
+    right-to-left scan of a popped word pushes each flattened child as it
+    finds it (see the module docstring), first the end gap, then each
+    descent with the same run count and each in-run gap whose letter is at
+    most the next leader with one more run, so the children pop left to
+    right.  The stack holds at most the children of the words on the
+    current path, and a word is yielded from one frame at any depth.
     """
     pending = [(word, runs)]
     while pending:
         word, runs = pending.pop()
         yield word, runs
         v = len(word) // m + 1
-        if v <= stop:
-            block = (v,) * m
-            pending += [
-                (word[:gap] + block + word[gap:], child_runs)
-                for gap, child_runs in reversed(_flat_gaps(word, runs))
-            ]
+        if v > stop:
+            continue
+        block = (v,) * m
+        pending.append((word + block, runs or 1))  # the empty word's one child has one run
+        next_leader = math.inf
+        for g in range(len(word) - 1, 0, -1):
+            right = word[g]
+            if word[g - 1] > right:
+                pending.append((word[:g] + block + word[g:], runs))
+                next_leader = right
+            elif right <= next_leader:
+                pending.append((word[:g] + block + word[g:], runs + 1))
 
 
 def _tally_children(word: tuple[int, ...], runs: int, by_runs: dict[int, int]) -> None:
     """Add the flattened children of ``word`` to ``by_runs`` by run count.
 
-    The children are counted, not built: the gap scan of ``_flat_gaps``
-    without the list (see the module docstring).  ``word`` is flattened
-    with ``runs`` runs.
+    The children are counted, not built: the right-to-left gap scan with
+    which ``_walk_flat`` pushes them, counting instead of pushing (see the
+    module docstring).  ``word`` is flattened with ``runs`` runs.
     """
     if not word:
         by_runs[1] = by_runs.get(1, 0) + 1

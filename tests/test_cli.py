@@ -244,6 +244,22 @@ class TestOeis:
         assert (code, out) == (2, "")
         assert err == "error: no index of 0 or more (every generator starts at index 0)\n"
 
+    def test_mismatch_beyond_the_digit_limit_is_abbreviated(self, capsys, tmp_path):
+        """A computed value with more digits than Python converts prints as a
+        power of ten below it, as a budget message does, not as a traceback."""
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no limit on the digits int() converts")
+        path = tmp_path / "b.txt"
+        path.write_text("15000 1\n")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run_cli(capsys, "oeis", "flat2", "--bfile", str(path))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (1, "")
+        assert out == "A050488 vs flat2: MISMATCH at index 15000: b-file 1, computed more than 10^4515\n"
+
 
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
@@ -567,6 +583,22 @@ def test_threads_below_one_exits_2(capsys, threads):
     code, out, err = run_cli(capsys, "table", "--max-n", "3", "--threads", threads)
     assert code == 2 and out == ""
     assert err == f"error: --threads must be at least 1, got {threads}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "flat", "--n", "3", "--budget", "-1"],
+        ["table", "--max-n", "5", "--budget", "-1"],
+        ["verify", "table1", "--budget", "-1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_budget_exits_2(capsys, argv):
+    """A budget below 0 refuses everything: a usage error, not a refusal or a FAIL report."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --budget must be at least 0, got -1\n"
 
 
 def test_workers_start_no_process(capsys, monkeypatch):

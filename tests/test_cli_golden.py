@@ -6,8 +6,11 @@ the build before ``dowling`` and ``flatm_series`` became row sums of the
 r-Whitney triangle, and those of the largest enumeration tables from the
 build before each table took all its rows from one pass, and those of
 the budgeted verify suites from the build before each suite took its
-rows from one pass per source; a refactor that changes any printed byte
-fails here.  ``elapsed_seconds`` lines are dropped before hashing.  The error
+rows from one pass per source, and those of the flattened-word and
+partition streams from the build before the walk pushed its children
+from its gap scan and the stream took its subsets from ``itertools``;
+a refactor that changes any printed byte fails here.
+``elapsed_seconds`` lines are dropped before hashing.  The error
 text of ``map phi`` for non-canonical partitions is pinned byte for
 byte, one case per validation diagnostic, and so is that of ``map psi``
 for malformed, non-Stirling and non-flattened words.  The merged run
@@ -54,6 +57,15 @@ GOLDEN = [
      "fe75aaba9bc85d77b7982aff2c22eb9b8670faf9ebead6bc76ce5382a511c5bd"),
     (["verify", "table1", "--max-n", "5"], 0,
      "70679371bf681b5a0b3490dd576ae65fff4720f53db859d4d2884696208adc0c"),
+    # both enumerators' orders: the pruned walk's words and the partition stream
+    (["gen", "flat", "--n", "8"], 0,
+     "98e1787b0b784674d4ca0740cfd8a5da030e08d2cffec81e10b2eeca18f16f37"),
+    (["gen", "flat", "--n", "6", "--m", "3"], 0,
+     "baa40122c79d748e44bcfaebe5291cc3b39d2316b90fe5e3a2638303f501d844"),
+    (["gen", "flat", "--n", "5", "--m", "5"], 0,
+     "0d56c1b3318e3169363ee63a34e9243318bbfd40918b765d42cc52b076f8c811"),
+    (["gen", "typeb", "--n", "7"], 0,
+     "092d80548e7a12e66f10e274fbd70b42177976bab0687c220fb96e45b2a92f52"),
     # the verify suites under budgets that refuse some rows: one pass per row source
     (["verify", "all", "--budget", "3000"], 1,
      "2922fdf2b6e450e6c44de8d90967e2b43f7669ac08b80fee3be433f2d96fcf14"),

@@ -11,7 +11,7 @@ from typing import Iterator
 
 import pytest
 
-from flatstir import bijection, tables
+from flatstir import bijection, tables, typeb
 from flatstir.bijection import iter_flattened_letters, min_wrapped, shift_magnitudes, twice_each
 from flatstir.reference import TABLE1
 from flatstir.typeb import SignedBlock, TypeBPartition, _iter_typeb_stream, generate_typeb
@@ -88,6 +88,12 @@ def _word_letters(zero_block: tuple[int, ...], blocks: RawBlocks) -> tuple[int, 
         letters.extend(twice_each(shift_magnitudes(negatives)))
         letters.extend(min_wrapped(shift_magnitudes(positives)))
     return tuple(letters)
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_subsets_match_the_recursive_oracle(n):
+    values = tuple(range(1, n + 1))
+    assert typeb._subsets_lex(values) == list(_subsets_lex(values))
 
 
 @pytest.mark.parametrize("n", range(0, 8))
