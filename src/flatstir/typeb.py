@@ -403,25 +403,19 @@ def _subsets_lex(values: tuple[int, ...]) -> list[tuple[int, ...]]:
 def _set_partitions(values: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Partitions of ascending ``values`` into ascending blocks, in restricted-growth-string order.
 
-    Each value joins the open blocks in the order they were opened, then
-    opens a new one, so the blocks are ordered by their minima.
+    By recursion on the last value: for each partition of the others, in
+    that order, it joins each block in the order the blocks were opened,
+    then opens a new one.  The last value varies fastest, as in the
+    string order, and the blocks stay ordered by their minima.
     """
-    blocks: list[list[int]] = []
-
-    def rec(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if i == len(values):
-            yield tuple(map(tuple, blocks))
-            return
-        v = values[i]
-        for block in blocks:
-            block.append(v)
-            yield from rec(i + 1)
-            block.pop()
-        blocks.append([v])
-        yield from rec(i + 1)
-        blocks.pop()
-
-    return rec(0)
+    if not values:
+        yield ()
+        return
+    v = values[-1]
+    for blocks in _set_partitions(values[:-1]):
+        for i, block in enumerate(blocks):
+            yield blocks[:i] + (block + (v,),) + blocks[i + 1 :]
+        yield blocks + ((v,),)
 
 
 def _signed_variants(

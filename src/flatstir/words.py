@@ -305,31 +305,33 @@ def _walk_flat(
 
     ``word`` is flattened with ``runs`` runs and of order at most ``stop``.
     Words come in preorder, each before its children, so the words of any
-    one order come in insertion order.  The pending words are a stack: one
-    right-to-left scan of a popped word pushes each flattened child as it
-    finds it (see the module docstring), first the end gap, then each
-    descent with the same run count and each in-run gap whose letter is at
-    most the next leader with one more run, so the children pop left to
-    right.  The stack holds at most the children of the words on the
-    current path, and a word is yielded from one frame at any depth.
+    one order come in insertion order.  The stack holds (parent, gap,
+    block, runs) entries, the root being ``((), 0, word, runs)``; a popped
+    entry builds its word ``parent[:gap] + block + parent[gap:]``.  One
+    right-to-left scan of that word pushes an entry per flattened child
+    (see the module docstring): the end gap, then each descent with the
+    same run count and each in-run gap whose letter is at most the next
+    leader with one more run, so the children pop left to right.  Every
+    parent lies on the current path, so no built child waits on the stack.
     """
-    pending = [(word, runs)]
+    pending = [((), 0, word, runs)]
     while pending:
-        word, runs = pending.pop()
+        parent, gap, block, runs = pending.pop()
+        word = parent[:gap] + block + parent[gap:]
         yield word, runs
         v = len(word) // m + 1
         if v > stop:
             continue
         block = (v,) * m
-        pending.append((word + block, runs or 1))  # the empty word's one child has one run
+        pending.append((word, len(word), block, runs or 1))  # the empty word's child has one run
         next_leader = math.inf
         for g in range(len(word) - 1, 0, -1):
             right = word[g]
             if word[g - 1] > right:
-                pending.append((word[:g] + block + word[g:], runs))
+                pending.append((word, g, block, runs))
                 next_leader = right
             elif right <= next_leader:
-                pending.append((word[:g] + block + word[g:], runs + 1))
+                pending.append((word, g, block, runs + 1))
 
 
 def _tally_children(word: tuple[int, ...], runs: int, by_runs: dict[int, int]) -> None:

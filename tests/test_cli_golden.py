@@ -1,20 +1,11 @@
 """Golden CLI output: stdout digests and exit codes pinned for a fixed command list.
 
-The digests were taken from the build before the run scanners, budget
-guards and pool paths were merged, and those of the formula path from
-the build before ``dowling`` and ``flatm_series`` became row sums of the
-r-Whitney triangle, and those of the largest enumeration tables from the
-build before each table took all its rows from one pass, and those of
-the budgeted verify suites from the build before each suite took its
-rows from one pass per source, and those of the flattened-word and
-partition streams from the build before the walk pushed its children
-from its gap scan and the stream took its subsets from ``itertools``;
-a refactor that changes any printed byte fails here.
-``elapsed_seconds`` lines are dropped before hashing.  The error
-text of ``map phi`` for non-canonical partitions is pinned byte for
-byte, one case per validation diagnostic, and so is that of ``map psi``
-for malformed, non-Stirling and non-flattened words.  The merged run
-scanner is also pinned against the brute-force oracle.
+A refactor that changes any printed byte fails here.  ``elapsed_seconds``
+lines are dropped before hashing.  The error text of ``map phi`` for
+non-canonical partitions is pinned byte for byte, one case per validation
+diagnostic, and so is that of ``map psi`` for malformed, non-Stirling and
+non-flattened words.  The merged run scanner is also pinned against the
+brute-force oracle.
 """
 
 import hashlib
@@ -66,6 +57,8 @@ GOLDEN = [
      "0d56c1b3318e3169363ee63a34e9243318bbfd40918b765d42cc52b076f8c811"),
     (["gen", "typeb", "--n", "7"], 0,
      "092d80548e7a12e66f10e274fbd70b42177976bab0687c220fb96e45b2a92f52"),
+    (["gen", "flat", "--n", "8", "--via", "bijection"], 0,
+     "067deb7a48fe02a2df6fef8c29c2d7b1811957f1300d2f42adb7e193e4c3a452"),
     # the verify suites under budgets that refuse some rows: one pass per row source
     (["verify", "all", "--budget", "3000"], 1,
      "2922fdf2b6e450e6c44de8d90967e2b43f7669ac08b80fee3be433f2d96fcf14"),

@@ -4,7 +4,8 @@
 ``_word_letters`` below are the previous implementation, kept unchanged
 as the order oracle: the stream's order is a documented contract (seeded
 samples of ``generate_typeb`` depend on it), so the fast path must agree
-element for element, not only as a set.
+element for element, not only as a set.  ``_set_partitions_backtracking``
+is the set-partition generator the recursion on the last value replaced.
 """
 
 from typing import Iterator
@@ -82,6 +83,28 @@ def _iter_typeb_raw(
                 yield zero_block, blocks
 
 
+def _set_partitions_backtracking(
+    values: tuple[int, ...],
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Set partitions in restricted-growth-string order, by backtracking over shared blocks."""
+    blocks: list[list[int]] = []
+
+    def rec(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if i == len(values):
+            yield tuple(map(tuple, blocks))
+            return
+        v = values[i]
+        for block in blocks:
+            block.append(v)
+            yield from rec(i + 1)
+            block.pop()
+        blocks.append([v])
+        yield from rec(i + 1)
+        blocks.pop()
+
+    return rec(0)
+
+
 def _word_letters(zero_block: tuple[int, ...], blocks: RawBlocks) -> tuple[int, ...]:
     letters = list(min_wrapped(shift_magnitudes(zero_block)))
     for negatives, positives in blocks:
@@ -94,6 +117,12 @@ def _word_letters(zero_block: tuple[int, ...], blocks: RawBlocks) -> tuple[int, 
 def test_subsets_match_the_recursive_oracle(n):
     values = tuple(range(1, n + 1))
     assert typeb._subsets_lex(values) == list(_subsets_lex(values))
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_set_partitions_match_the_backtracking_oracle(n):
+    values = tuple(range(1, n + 1))
+    assert list(typeb._set_partitions(values)) == list(_set_partitions_backtracking(values))
 
 
 @pytest.mark.parametrize("n", range(0, 8))

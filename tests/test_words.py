@@ -1,10 +1,12 @@
 """Word predicates, statistics, generators, and the word text format."""
 
+import tracemalloc
 from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
 
+from flatstir.cli import main
 from flatstir.errors import BudgetExceededError, NotStirlingError, WordSyntaxError
 from flatstir.words import (
     StirlingWord,
@@ -273,6 +275,25 @@ class TestGenerators:
         for n in range(1, 6):
             for w in generate_flattened_filter(n, 2):
                 assert w.letters[0] == 1
+
+
+def test_pruned_walk_memory_stays_on_its_path():
+    """Long words with many flattened children: pending state is the path, not their children."""
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in generate_flattened_filter(2, 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 2000
+    assert peak < 4 * 2**20, peak
+
+
+def test_gen_flat_of_long_words_prints_every_word(capsys):
+    assert main(["gen", "flat", "--n", "2", "--m", "3000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3000
+    assert len(lines[0].split()) == 6000
 
 
 class TestWordText:
