@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the base of its value types.
 
 Every error carries the process exit code the CLI maps it to:
 1 = verification/coherence failure, 2 = syntax/usage, 3 = enumeration
@@ -8,10 +8,73 @@ an operation's domain).
 
 import re
 import sys
+from operator import attrgetter
 from typing import Callable
 
 # Default cap on the objects one enumeration may visit; see ``check_budget``.
 DEFAULT_BUDGET = 50_000_000
+
+
+class _RecordType(type):
+    """Metaclass of ``Record``: the names a class annotates become its ``__slots__``, and
+    ``_fields`` lists the fields it inherits, then those."""
+
+    def __new__(mcls, name, bases, namespace):
+        namespace["__slots__"] = own = tuple(namespace.get("__annotations__", ()))
+        cls = super().__new__(mcls, name, bases, namespace)
+        cls._fields = fields = getattr(cls, "_fields", ()) + own
+        if fields:
+            cls._values = attrgetter(*fields)
+        return cls
+
+
+class Record(metaclass=_RecordType):
+    """Base of the package's value types: plain classes with ``__slots__``, no ``__dict__``.
+
+    Fields are set, compared, shown and pickled in the order they are
+    annotated; ``==`` holds only between instances of one class, and a
+    copy or an unpickled instance is rebuilt through ``__init__``.  The
+    ``__init__`` here takes every field, by position or keyword; a class
+    with defaults or checks writes its own.  A ``Record`` is mutable and
+    unhashable.
+    """
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = args + tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if len(values) != len(names) or kwargs:
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class FrozenRecord(Record):
+    """A ``Record`` that hashes as the tuple of its fields and refuses to change them.
+
+    Its ``__init__`` sets the fields with ``object.__setattr__``; after
+    that, assigning or deleting any attribute raises ``AttributeError``.
+    """
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class FlatstirError(Exception):

@@ -14,17 +14,15 @@ Fixture b-files for the four sequences below are bundled under
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 from typing import Callable
 
-from .errors import DECIMAL_RE, BFileFormatError, check_digits
+from .errors import DECIMAL_RE, BFileFormatError, FrozenRecord, Record, check_digits
 from .formulas import dowling, flat2_recurrence, flatm_recurrence
 
 
-@dataclass(frozen=True)
-class OeisSequence:
+class OeisSequence(FrozenRecord):
     id: str
     terms: tuple[tuple[int, int], ...]  # (index, value), indices strictly increasing
 
@@ -37,8 +35,7 @@ class OeisSequence:
         return self.terms[-1][0]
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(FrozenRecord):
     """Local counterpart of one OEIS sequence.
 
     ``local_term`` maps a b-file index to the locally computed value.
@@ -115,8 +112,7 @@ def bundled_bfile_text(sequence_id: str) -> str:
     return (resources.files("flatstir") / "data" / name).read_text(encoding="utf-8")
 
 
-@dataclass
-class SequenceComparison:
+class SequenceComparison(Record):
     generator: str
     sequence_id: str
     checked: int

@@ -35,12 +35,11 @@ re-emitting it is byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .bijection import image_run_distributions
 from .bijection import iter_flattened_letters  # noqa: F401  bench/passes.py patches the name
-from .errors import DEFAULT_BUDGET, CacheCoherenceError, TableFormatError, check_budget
+from .errors import DEFAULT_BUDGET, CacheCoherenceError, Record, TableFormatError, check_budget
 from .errors import DECIMAL_RE, check_digits, max_str_digits
 from .formulas import dowling, flatm_counts, max_runs, mstirling_count, run_distributions
 from .words import _check_budget, _walk_stats
@@ -58,11 +57,13 @@ FORMULA_MAX_ORDER = 200
 FORMULA_MAX_MULTIPLICITY = 20
 
 
-@dataclass
-class CountTable:
+class CountTable(Record):
     """Keyed exact counts with provenance; re-puts must agree exactly."""
 
-    entries: dict[Key, tuple[int, str]] = field(default_factory=dict)
+    entries: dict[Key, tuple[int, str]]
+
+    def __init__(self, entries: dict[Key, tuple[int, str]] | None = None):
+        super().__init__({} if entries is None else entries)
 
     def put(
         self, kind: str, n: int, m: int | None, k: int | None, count: int, provenance: str

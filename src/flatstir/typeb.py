@@ -34,21 +34,19 @@ Validation diagnostics use the stable codes::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, islice
 from operator import lt
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DEFAULT_BUDGET, NotCanonicalError, NotTypeBError, PartitionSyntaxError
-from .errors import check_budget, check_digits
+from .errors import FrozenRecord, check_budget, check_digits
 from .formulas import dowling
 
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class SignedBlock:
+class SignedBlock(FrozenRecord):
     """One canonical non-zero block: negative magnitudes, then positives.
 
     ``negatives`` holds magnitudes in increasing order, which is the
@@ -58,18 +56,16 @@ class SignedBlock:
     negatives: tuple[int, ...]
     positives: tuple[int, ...]
 
-    def __post_init__(self):
-        if type(self.negatives) is not tuple or type(self.positives) is not tuple:
-            object.__setattr__(self, "negatives", tuple(self.negatives))
-            object.__setattr__(self, "positives", tuple(self.positives))
+    def __init__(self, negatives: Iterable[int], positives: Iterable[int]):
+        object.__setattr__(self, "negatives", tuple(negatives))
+        object.__setattr__(self, "positives", tuple(positives))
 
     @property
     def magnitudes(self) -> tuple[int, ...]:
         return self.negatives + self.positives
 
 
-@dataclass(frozen=True)
-class TypeBPartition:
+class TypeBPartition(FrozenRecord):
     """Immutable canonical partition; raises NotCanonicalError on construction otherwise.
 
     Blocks that are not exact ``SignedBlock``s are copied into
@@ -81,13 +77,13 @@ class TypeBPartition:
     zero_block: tuple[int, ...]
     blocks: tuple[SignedBlock, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "zero_block", tuple(self.zero_block))
-        blocks = self.blocks
+    def __init__(self, n: int, zero_block: Iterable[int], blocks: Iterable[SignedBlock]):
         if type(blocks) is not tuple or not set(map(type, blocks)) <= {SignedBlock}:
-            blocks = (b if type(b) is SignedBlock else SignedBlock(b.negatives, b.positives)
-                      for b in blocks)
-            object.__setattr__(self, "blocks", tuple(blocks))
+            blocks = tuple(b if type(b) is SignedBlock else SignedBlock(b.negatives, b.positives)
+                           for b in blocks)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "zero_block", tuple(zero_block))
+        object.__setattr__(self, "blocks", blocks)
         ok, diags = validate_canonical(self)
         if not ok:
             raise NotCanonicalError(diags)
@@ -108,8 +104,7 @@ class TypeBPartition:
         return format_partition(self)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(FrozenRecord):
     code: str
     message: str
 

@@ -27,10 +27,9 @@ Reports are deterministic apart from the clearly marked elapsed field.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from . import bijection, reference, tables, typeb, words
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, Record
 from .formulas import (
     dowling,
     flat2_closed,
@@ -44,8 +43,7 @@ from .formulas import (
 )
 
 
-@dataclass
-class CaseResult:
+class CaseResult(Record):
     description: str
     expected: str
     actual: str
@@ -55,12 +53,15 @@ class CaseResult:
         return self.expected == self.actual
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     suite: str
-    cases: list[CaseResult] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
-    budget_hit: bool = False
+    cases: list[CaseResult]
+    elapsed_seconds: float
+    budget_hit: bool
+
+    def __init__(self, suite: str, cases: list[CaseResult] | None = None,
+                 elapsed_seconds: float = 0.0, budget_hit: bool = False):
+        super().__init__(suite, [] if cases is None else cases, elapsed_seconds, budget_hit)
 
     @property
     def passed(self) -> bool:

@@ -55,10 +55,10 @@ process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DEFAULT_BUDGET, NotStirlingError, WordSyntaxError, check_budget, check_digits
+from .errors import DEFAULT_BUDGET, FrozenRecord, NotStirlingError, Record, WordSyntaxError
+from .errors import check_budget, check_digits
 from .formulas import mstirling_count
 
 
@@ -153,16 +153,16 @@ def is_stirling(letters: Sequence[int], m: int) -> bool:
     return _stirling_violation(letters, m) is None
 
 
-@dataclass(frozen=True)
-class StirlingWord:
+class StirlingWord(FrozenRecord):
     """Immutable validated word; raises NotStirlingError on construction otherwise."""
 
     letters: tuple[int, ...]
-    multiplicity: int = 2
+    multiplicity: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        reason = _stirling_violation(self.letters, self.multiplicity)
+    def __init__(self, letters: Iterable[int], multiplicity: int = 2):
+        object.__setattr__(self, "letters", tuple(letters))
+        object.__setattr__(self, "multiplicity", multiplicity)
+        reason = _stirling_violation(self.letters, multiplicity)
         if reason is not None:
             raise NotStirlingError(reason)
 
@@ -186,8 +186,7 @@ class StirlingWord:
         return format_word(self.letters)
 
 
-@dataclass(frozen=True)
-class RunDecomposition:
+class RunDecomposition(FrozenRecord):
     """Maximal weakly increasing segmentation of a word.
 
     ``segments`` holds half-open index ranges partitioning the word;
@@ -198,6 +197,10 @@ class RunDecomposition:
 
     segments: tuple[tuple[int, int], ...]
     leading_terms: tuple[int, ...]
+
+    def __init__(self, segments: tuple[tuple[int, int], ...], leading_terms: tuple[int, ...]):
+        object.__setattr__(self, "segments", segments)  # not Record's loop: one per round trip
+        object.__setattr__(self, "leading_terms", leading_terms)
 
     @property
     def run_count(self) -> int:
@@ -280,8 +283,7 @@ def generate_flattened_filter(
             yield StirlingWord._trusted(letters, m)
 
 
-@dataclass
-class StirlingStats:
+class StirlingStats(Record):
     """Exact counts for one (n, m): total words, flattened words, flat-by-run-count.
 
     ``total`` is |Q_n^m| from the product formula (the budget projection);
@@ -292,10 +294,15 @@ class StirlingStats:
 
     order: int
     multiplicity: int
-    total: int = 0
-    flat_total: int = 0
-    flat_by_runs: dict[int, int] = field(default_factory=dict)
-    visited: int = 0
+    total: int
+    flat_total: int
+    flat_by_runs: dict[int, int]
+    visited: int
+
+    def __init__(self, order: int, multiplicity: int, total: int = 0, flat_total: int = 0,
+                 flat_by_runs: dict[int, int] | None = None, visited: int = 0):
+        flat_by_runs = {} if flat_by_runs is None else flat_by_runs
+        super().__init__(order, multiplicity, total, flat_total, flat_by_runs, visited)
 
 
 def _walk_flat(
