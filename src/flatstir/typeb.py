@@ -317,9 +317,9 @@ def _element_values(text: str, parts: list[list[str]]) -> tuple[int, ...]:
 
     A token has that form (ASCII only) exactly when it is the text
     ``str()`` gives its ``int()``, so text whose values print back as its
-    tokens needs no look at each token.  Other text is read block by
-    block: the first empty block, malformed token or token too long for
-    ``int()`` raises PartitionSyntaxError.
+    tokens needs no look at each token.  Other text is only diagnosed,
+    block by block: the first empty block, malformed token or token too
+    long for ``int()`` raises PartitionSyntaxError.
     """
     tokens = text.replace("|", " ").split()
     try:
@@ -328,7 +328,6 @@ def _element_values(text: str, parts: list[list[str]]) -> tuple[int, ...]:
             return values
     except ValueError:  # not an integer, or too many digits: found below
         pass
-    values = []
     for b_idx, part in enumerate(parts):
         if not part:
             raise PartitionSyntaxError(f"block {b_idx}: empty block (expected elements)")
@@ -339,12 +338,8 @@ def _element_values(text: str, parts: list[list[str]]) -> tuple[int, ...]:
                 raise PartitionSyntaxError(
                     f"{where}: expected '0' or '-'? nonzero decimal, found {tok!r}"
                 )
-            try:
-                values.append(int(tok))
-            except ValueError:  # the form admits the token, so only its length is refused
-                check_digits(tok, where, PartitionSyntaxError)
-                raise
-    return tuple(values)
+            check_digits(tok, where, PartitionSyntaxError)
+    raise AssertionError(f"every token of {text!r} reads back as itself")
 
 
 def parse_partition(text: str) -> TypeBPartition:
@@ -484,8 +479,6 @@ def generate_typeb(n: int, budget: int = DEFAULT_BUDGET) -> Iterator[TypeBPartit
     is the type B partition count ``dowling(n)``, which is checked
     against the budget before any work happens.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     check_budget(dowling(n), budget, f"generating type B partitions of [-{n}, {n}]")
     for zero_block, blocks in _iter_typeb_stream(n, SignedBlock):
         yield TypeBPartition._trusted(n, zero_block, blocks)

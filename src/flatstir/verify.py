@@ -19,9 +19,11 @@ Each suite re-derives a family of facts two ways and compares:
 
 Each suite takes an order bound and the enumeration budget, and runs in
 this process: the exhaustive scans are the serial pruned walk.  Each
-suite makes one pass per row source, up to the largest order the budget
-admits: one ``image_run_distributions`` call, one ``_walk_stats`` per m.
-Reports are deterministic apart from the clearly marked elapsed field.
+suite makes one pass per row source, up to the largest order that the
+enumeration's own budget guard admits: one ``image_run_distributions``
+call, one ``_walk_stats`` per m.  A package error raised inside a case is
+that case's actual value, so it fails.  Reports are deterministic apart
+from the clearly marked elapsed field.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import time
 
 from . import bijection, reference, tables, typeb, words
-from .errors import BudgetExceededError, Record
+from .errors import BudgetExceededError, FlatstirError, Record
 from .formulas import (
     dowling,
     flat2_closed,
@@ -88,42 +90,55 @@ class VerificationReport(Record):
 
 
 def _guard(report: VerificationReport, description: str, expected, thunk) -> None:
+    """Add the case ``thunk`` computes; a package error it raises is its actual value."""
     try:
         actual = thunk()
     except BudgetExceededError as exc:
         report.budget_hit = True
-        report.add(description, expected, f"budget exceeded ({exc})")
-        return
+        actual = f"budget exceeded ({exc})"
+    except FlatstirError as exc:
+        actual = f"{type(exc).__name__}: {exc}"
     report.add(description, expected, actual)
+
+
+def _top(max_n: int, check) -> int:
+    """The largest order n <= max_n such that the guard ``check`` admits 1..n (the
+    guards own the budget projections, which rise with n)."""
+    for n in range(1, max_n + 1):
+        try:
+            check(n)
+        except BudgetExceededError:
+            return n - 1
+    return max_n
 
 
 def _image_rows(max_n: int, budget: int):
     """Order n -> its image run row: one count for every order within the budget,
-    the refusal of ``count_runs_via_bijection`` above them.  The projection
-    dowling(n - 1) rises with n, so the orders within the budget are 1..top."""
-    top = next((n - 1 for n in range(1, max_n + 1) if dowling(n - 1) > budget), max_n)
-    rows = bijection.image_run_distributions(top)
+    the refusal of ``count_runs_via_bijection`` above them."""
+    rows = bijection.image_run_distributions(
+        _top(max_n, lambda n: tables._check_images(n, budget)))
     return lambda n: rows[n] if n in rows else tables.count_runs_via_bijection(n, budget)
 
 
 def _walk_rows(max_n: int, m: int, budget: int) -> list[words.StirlingStats]:
-    """One walk's rows, for every order up to max_n whose |Q_n^m| fits the budget
-    (|Q_n^m| rises with n, as ``_image_rows``' projection does)."""
-    top = next((n - 1 for n in range(1, max_n + 1) if mstirling_count(n, m) > budget), max_n)
-    return words._walk_stats(top, m)
+    """One walk's rows, for every order up to max_n whose words the budget admits."""
+    return words._walk_stats(_top(max_n, lambda n: words._check_budget(n, m, budget)), m)
 
 
 def verify_bijection(max_n: int = 6, budget: int = words.DEFAULT_BUDGET) -> VerificationReport:
     report = VerificationReport("bijection")
     start = time.monotonic()
-    fixture_bad = 0
-    for ptext, wtext in reference.PAIRS_ORDER4:
-        part = typeb.parse_partition(ptext)
-        word = bijection.partition_to_word(part, verify_output=True)
-        if words.format_word(word) != wtext or bijection.word_to_partition(word) != part:
-            fixture_bad += 1
-    report.add("order-4 pair fixture mismatches (24 pairs)", 0, fixture_bad)
+    def fixture():
+        bad = 0
+        for ptext, wtext in reference.PAIRS_ORDER4:
+            part = typeb.parse_partition(ptext)
+            word = bijection.partition_to_word(part, verify_output=True)
+            if words.format_word(word) != wtext or bijection.word_to_partition(word) != part:
+                bad += 1
+        return bad
 
+    _guard(report, "order-4 pair fixture mismatches (24 pairs)", 0, fixture)
+    walk_top = _top(max_n, lambda n: words._check_budget(n, 2, budget))
     for order in range(1, max_n + 1):
         def round_trips(order=order):
             bad = 0
@@ -139,7 +154,7 @@ def verify_bijection(max_n: int = 6, budget: int = words.DEFAULT_BUDGET) -> Veri
         _guard(report, f"order {order}: partition->word->partition over all partitions",
                "failures=0 distinct=True", round_trips)
 
-        if mstirling_count(order, 2) <= budget:
+        if order <= walk_top:
             def reverse_trips(order=order):
                 bad = 0
                 image = set()
@@ -237,44 +252,25 @@ def verify_conjectures(max_n: int = 10, budget: int = words.DEFAULT_BUDGET) -> V
     for n in range(1, min(max_n, 10) + 1):
         _guard(report, f"three-run formula vs enumerated count, n={n}", flat3_conjecture(n),
                lambda n=n: image_row(n).get(3, 0))
-    report.add(
-        "two-run closed form vs recurrence, n<=30",
-        0,
-        sum(1 for n in range(1, 31) if flat2_closed(n) != flat2_recurrence(n + 1)),
-    )
-    report.add(
-        "two-run recurrence vs reference column",
-        0,
-        sum(
-            1
-            for n in range(1, 11)
-            if flat2_recurrence(n) != reference.TABLE1[n][2].get(2, 0)
-        ),
-    )
     rows = run_distributions(100)  # every order to 100 in about 0.25 s
-    for description, formula, read in [
-        ("three-run formula vs run-distribution column 3", flat3_conjecture,
-         lambda row: row.get(3, 0)),
-        ("two-run recurrence vs run-distribution column 2", flat2_recurrence,
-         lambda row: row.get(2, 0)),
-        ("maximal run count vs largest run count of each run-distribution row", max_runs, max),
-    ]:
-        mismatches = sum(1 for n, row in rows.items() if formula(n) != read(row))
-        report.add(f"{description}, n<=100", 0, mismatches)
-    report.add(
-        "m-fold recurrence vs certified series over the reference grid",
-        0,
-        sum(
-            1
-            for (n, m) in reference.TABLE2
-            if flatm_recurrence(n, m) != flatm_series(n, m)
-        ),
-    )
-    report.add(
-        "m-fold recurrence at m=2 vs partition counts, n<=12",
-        0,
-        sum(1 for n in range(1, 13) if flatm_recurrence(n, 2) != dowling(n - 1)),
-    )
+    identities = [  # (description, the pairs that must agree)
+        ("two-run closed form vs recurrence, n<=30",
+         ((flat2_closed(n), flat2_recurrence(n + 1)) for n in range(1, 31))),
+        ("two-run recurrence vs reference column",
+         ((flat2_recurrence(n), reference.TABLE1[n][2].get(2, 0)) for n in range(1, 11))),
+        ("three-run formula vs run-distribution column 3, n<=100",
+         ((flat3_conjecture(n), row.get(3, 0)) for n, row in rows.items())),
+        ("two-run recurrence vs run-distribution column 2, n<=100",
+         ((flat2_recurrence(n), row.get(2, 0)) for n, row in rows.items())),
+        ("maximal run count vs largest run count of each run-distribution row, n<=100",
+         ((max_runs(n), max(row)) for n, row in rows.items())),
+        ("m-fold recurrence vs certified series over the reference grid",
+         ((flatm_recurrence(n, m), flatm_series(n, m)) for n, m in reference.TABLE2)),
+        ("m-fold recurrence at m=2 vs partition counts, n<=12",
+         ((flatm_recurrence(n, 2), dowling(n - 1)) for n in range(1, 13))),
+    ]
+    for description, pairs in identities:
+        report.add(description, 0, sum(a != b for a, b in pairs))
     report.elapsed_seconds = time.monotonic() - start
     return report
 

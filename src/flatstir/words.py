@@ -62,16 +62,8 @@ from .errors import check_budget, check_digits
 from .formulas import mstirling_count
 
 
-def __getattr__(name: str):
-    """Resolve ``ProcessPoolExecutor`` on first use, so start-up never imports multiprocessing.
-
-    Nothing here uses the name; bench/passes.py and a test patch it.
-    """
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Nothing here uses this name: bench/passes.py sets it to a pool class, a test to a refusal.
+ProcessPoolExecutor = None
 
 
 def _is_stirling(letters: Sequence[int], m: int) -> bool:

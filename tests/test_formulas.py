@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from flatstir.bijection import generate_flattened_from_partitions, max_runs_witness
 from flatstir.formulas import (
     double_factorial,
     dowling,
@@ -25,6 +26,7 @@ from flatstir.formulas import (
     stirling2,
 )
 from flatstir.reference import TABLE1, TABLE2
+from flatstir.typeb import generate_typeb
 from flatstir.words import count_stirling_stats
 
 
@@ -191,6 +193,26 @@ def test_argument_validation():
         flatm_recurrence(3, 1)
     with pytest.raises(ValueError):
         flatm_series(3, 1)
+
+
+ARGUMENT_CHECKS = {
+    "double_factorial": (lambda: double_factorial(-1), "n must be nonnegative"),
+    "flat2_closed": (lambda: flat2_closed(0), "n must be positive"),
+    "flat3_conjecture": (lambda: flat3_conjecture(0), "n must be positive"),
+    "mstirling_count-n": (lambda: mstirling_count(-1, 2), "n must be nonnegative"),
+    "mstirling_count-m": (lambda: mstirling_count(2, 0), "m must be positive"),
+    "max_runs_witness": (lambda: max_runs_witness(0), "n must be positive"),
+    "generate_flattened_from_partitions": (
+        lambda: next(generate_flattened_from_partitions(0)), "n must be positive"),
+    "generate_typeb": (lambda: next(generate_typeb(-1)), "n must be nonnegative"),  # dowling's
+}
+
+
+@pytest.mark.parametrize("call, message", ARGUMENT_CHECKS.values(), ids=ARGUMENT_CHECKS)
+def test_argument_checks_name_the_argument(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_run_distribution_equals_both_enumerations(bijection_runs, filter_stats):

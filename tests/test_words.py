@@ -113,6 +113,11 @@ class TestIsStirling:
         # values must cover 1..n
         assert not is_stirling((2, 2), 2)
 
+    def test_str_is_the_canonical_text(self):
+        tens = tuple(v for v in range(1, 11) for _ in range(2))
+        assert str(StirlingWord((1, 2, 2, 1))) == "1 2 2 1"
+        assert str(StirlingWord(tens)) == " ".join(map(str, tens))
+
     def test_constructor_rejects_with_reason(self):
         with pytest.raises(NotStirlingError, match="between"):
             StirlingWord(parse_word("112293883946677545"), 2)
