@@ -38,23 +38,32 @@ Every signed variant of a block ends on the block's minimum plus one
 (the minimum stays positive and ``min_wrapped`` puts it last), so the
 letter left of each join is fixed by the block before it, whatever its
 signs.  The blocks' signs thus add independent descent histograms, and
-the run distribution of one partition shape is their product:
-``image_run_distributions`` reads each block's variants once, as a
-histogram of (first letter, inner descents), and sums the shapes by a
-recurrence on the block of the smallest magnitude, instead of building
-every word.  Its states are (remaining magnitudes as a bitmask, letter
-before them); those without magnitude 0 are shared by every order, so
-one memo gives every row.  On canonical images every join is an ascent
-(the next block's letters exceed its minimum plus one, which exceeds
-the previous block's), but the count still compares the letters: it
-reads the images, not this argument, and stays independent of
+the run distribution of one partition shape is their product.
+
+A block's histogram depends only on its size (and on whether it holds
+magnitude 0), by order isomorphism.  A variant's letters are v + 1 for
+v in the block, and where each letter sits depends only on its rank in
+the block and on the signs, so adjacent letters compare as they do in
+the variant with the same signs of the template block 1..s (0..s-1 for
+a zero-block).  The variants of each size are therefore built once, as
+the template's histogram of (rank of the first letter, inner
+descents), and a block's histogram is the template's with rank r read
+as the letter ``block[r] + 1`` (``_block_histogram``).
+``image_run_distributions`` sums the shapes by a recurrence on the
+block of the smallest magnitude, instead of building every word.  Its
+states are (remaining magnitudes as a bitmask, letter before them);
+those without magnitude 0 are shared by every order, so one memo gives
+every row.  On canonical images every join is an ascent (the next
+block's letters exceed its minimum plus one, which exceeds the previous
+block's), but the count still compares the letters: it reads the
+images' letters, not this argument, and stays independent of
 ``run_count_from_partition``.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_BUDGET, DomainError, NotFlattenedError, check_budget
 from .formulas import dowling
@@ -116,6 +125,32 @@ def _variant_descents(block: tuple[int, ...]) -> tuple[dict[tuple[int, int], int
     return hist, letters[-1]
 
 
+def _template(size: int, zero: bool) -> dict[tuple[int, int], int]:
+    """Histogram {(rank of the first letter, inner descents): variants} of every block of ``size``.
+
+    Read from the template block 1..size, or 0..size-1 if ``zero`` (a
+    zero-block, one variant); rank r is the block's (r+1)-th smallest
+    magnitude.
+    """
+    low = 0 if zero else 1
+    hist, _ = _variant_descents(tuple(range(low, low + size)))
+    return {(first - 1 - low, inner): count for (first, inner), count in hist.items()}
+
+
+def _block_histogram(
+    block: tuple[int, ...], template: Callable[[int, bool], dict[tuple[int, int], int]] = _template
+) -> tuple[dict[tuple[int, int], int], int]:
+    """``_variant_descents(block)``, relabelled from its size's template: no variant is built.
+
+    Rank r of the template's first letters becomes the letter
+    ``block[r] + 1``, and the inner descents stay, since the variants
+    with the same signs are order-isomorphic (module docstring).
+    ``template(size, zero)`` gives the template; a caller may memoize it.
+    """
+    hist = template(len(block), not block[0])
+    return {(block[rank] + 1, inner): count for (rank, inner), count in hist.items()}, block[0] + 1
+
+
 def _magnitudes(mask: int) -> tuple[int, ...]:
     """The set bits of ``mask``, ascending: bit v stands for magnitude v."""
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
@@ -148,19 +183,23 @@ def image_run_distributions(n_max: int) -> dict[int, dict[int, int]]:
     X = 2**shift, so products convolve histograms and sums add them.  No
     count carries into the next digit: each is at most the number of
     words of length 2n over 1..n, and the shift is n_max's, so X exceeds
-    every row's counts.  Each block's variants are read once
-    (``_variant_descents``), and the join ``prev`` > first letter is added
-    once per (block, prev).  The memos live for one call.
+    every row's counts.  The signed variants are built once per block
+    size and zero or not (``_template``): a block's variants with the
+    same signs are order-isomorphic to the template's, so its histogram
+    is the template's with each first letter's rank r relabelled as
+    ``block[r] + 1`` (``_block_histogram``).  The join ``prev`` > first
+    letter is then compared once per (block, prev) against that block's
+    own first letters.  The memos live for one call.  Order 0 has no
+    row, so ``n_max`` 0 gives ``{}``.
     """
+    if n_max < 0:
+        raise ValueError("n must be nonnegative")
     shift = 2 * n_max * n_max.bit_length()
-
-    @cache
-    def variants(block: int) -> tuple[dict[tuple[int, int], int], int]:
-        return _variant_descents(_magnitudes(block))
+    template = cache(_template)
 
     @cache
     def packed(block: int, prev: int) -> tuple[int, int]:
-        hist, last = variants(block)
+        hist, last = _block_histogram(_magnitudes(block), template)
         poly = sum(
             count << shift * (inner + (prev > first)) for (first, inner), count in hist.items()
         )

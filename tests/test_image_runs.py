@@ -1,14 +1,17 @@
 """Run counts of the partition images, counted per block without building the words.
 
 ``image_run_distributions`` multiplies per-block descent histograms
-(``_variant_descents`` plus the join after the previous letter) in one
+(each block's relabelled from the one template of its size,
+``_block_histogram``, plus the join after the previous letter) in one
 recurrence on the block holding the smallest magnitude, the zero-block
 (magnitude 0) first, every order from one memo.  These tests pin it to
 the run counts of the built image words order by order and to the
-formula up to order 11, for each row read alone and for all rows of one
+formula up to order 13, for each row read alone and for all rows of one
 call, pin the product of a shape's histograms, zero-block included, to
-its words, and pin each histogram to the descents of explicitly signed
-block segments.
+its words, pin each relabelled histogram to the one read from the
+block's own signed segments (``_variant_descents``), and pin those to
+the descents of explicitly signed block segments after any previous
+letter.
 """
 
 from collections import Counter
@@ -18,8 +21,10 @@ import pytest
 
 from flatstir import tables
 from flatstir.bijection import (
+    _block_histogram,
     _segment,
     _variant_descents,
+    image_run_distributions,
     iter_flattened_letters,
     min_wrapped,
     shift_magnitudes,
@@ -79,6 +84,19 @@ def test_one_call_gives_every_row(bijection_runs):
         assert bijection_runs[n] == _built_runs(iter_flattened_letters(n)), n
 
 
+def test_one_call_gives_the_formula_up_to_order_13():
+    assert image_run_distributions(13) == run_distributions(13)
+
+
+def test_orders_are_checked():
+    assert image_run_distributions(0) == {}
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        image_run_distributions(-1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            tables.count_runs_via_bijection(n)
+
+
 def test_count_at_the_largest_order_the_default_budget_admits():
     assert tables.count_runs_via_bijection(11) == run_distributions(11)[11]
     with pytest.raises(BudgetExceededError):
@@ -102,11 +120,13 @@ def test_each_shape_is_the_product_of_its_block_histograms(n):
     assert next(stream, None) is None
 
 
-@pytest.mark.parametrize("size", range(1, 6))
+@pytest.mark.parametrize("size", range(1, 9))
 def test_block_histogram_reads_the_letters_after_any_previous_letter(size):
-    """Every previous letter, including ones above the block's letters: a
-    join that is a descent must count, though canonical images have none."""
-    for block in combinations(range(1, 7), size):
+    """Every previous letter 0..13, including ones above the block's letters: a
+    join that is a descent must count, though canonical images have none.
+    Both the histogram of the block's own segments and the relabelled
+    template the count uses."""
+    for block in combinations(range(1, 9), size):
         low, rest = block[0], block[1:]
         variants = [
             twice_each(shift_magnitudes(negatives))
@@ -115,7 +135,8 @@ def test_block_histogram_reads_the_letters_after_any_previous_letter(size):
             for negatives in combinations(rest, k)
         ]
         hist, last = _variant_descents(block)
-        for prev in range(1, 9):
+        assert _block_histogram(block) == (hist, last), block
+        for prev in range(14):
             expected = Counter(len(run_starts((prev,) + letters)) - 1 for letters in variants)
             assert _convolve(ONE, prev, hist) == expected, (block, prev)
             assert {letters[-1] for letters in variants} == {last} == {low + 1}
@@ -134,3 +155,13 @@ def test_canonical_images_have_no_descent_at_a_join():
                     zero_block, members)
                 prev = last
 
+
+def test_relabelled_template_equals_the_block_own_variants():
+    """The order-isomorphism lemma of the bijection docstring, on every block
+    of magnitudes 1..11 and every zero-block of magnitudes 0..11: the
+    template of the block's size, with rank r read as ``block[r] + 1``, is
+    the histogram of the block's own segments."""
+    for size in range(12):
+        for rest in combinations(range(1, 12), size):
+            for block in ((0,) + rest, rest) if rest else [(0,)]:
+                assert _block_histogram(block) == _variant_descents(block), block
