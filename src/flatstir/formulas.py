@@ -2,7 +2,11 @@
 
 All counts are plain Python ints (arbitrary precision), and every
 function here is integer arithmetic: the m-fold series, the one formula
-stated over the reals, is summed exactly by Dobinski's formula.
+stated over the reals, is summed exactly by Dobinski's formula.  The
+binomial sums (``flat3_conjecture``, ``run_distributions`` and the
+m-fold recurrence) take each term's binomial coefficient, and power,
+from the term before it: C(t, k) = C(t, k-1) * (t-k+1) / k, an exact
+integer division.
 
 ``dowling`` and ``flatm_series`` are row sums of one triangle per m,
 T(p+1, k) = (mk + m - 1) * T(p, k) + T(p, k-1) with T(0, 0) = 1: the
@@ -14,7 +18,7 @@ the whole process, so a sweep over n does each step once.
 """
 
 import threading
-from math import comb, prod
+from math import prod
 
 _extending = threading.Lock()  # one caller at a time extends a column; reads need no lock
 _triangles: dict[int, tuple[list[int], list[int]]] = {}  # m -> ([sum_k T(p, k), p <= a], T(a, .))
@@ -112,25 +116,30 @@ def max_runs(n: int) -> int:
     return -(-2 * n // 3)
 
 
-def _choose_at_least_two(s: int) -> int:
-    """sum_{j=2}^{s} C(s, j) = 2^s - s - 1, which is zero whenever s < 2."""
-    return 2**s - s - 1
-
-
 def flat3_conjecture(n: int) -> int:
     """Conjectured count of flattened doubled words of order n with exactly three runs.
 
-    Three-term sum over k; the first two sums both carry the factor 2
-    (with the factor on the first sum only, the value at n = 5 comes out
-    64 instead of the verified 70).  Inner sums whose upper bound is
-    below 2 contribute 0.
+    With t = n - 1 and g(s) = sum_{j=2}^{s} C(s, j) = 2^s - s - 1, the
+    count is 2 * sum_{k=1}^{t} C(t, k) g(t-k) + 2 * sum_{k=2}^{t} C(t, k) g(t-k)
+    + sum_{k=3}^{t} (2^(k-1) - 2) C(t, k).  Both of the first two sums
+    carry the factor 2 (with the factor on the first sum only, the value
+    at n = 5 comes out 64 instead of the verified 70).  The sums are
+    unchanged; one walk over k evaluates all three, C(t, k) from C(t, k-1)
+    and the powers of 2 as shifts, and the first two share their term.
     """
     if n < 1:
         raise ValueError("n must be positive")
     t = n - 1
-    first = sum(comb(t, k) * _choose_at_least_two(t - k) for k in range(1, t + 1))
-    second = sum(comb(t, k) * _choose_at_least_two(t - k) for k in range(2, t + 1))
-    third = sum((2 ** (k - 1) - 2) * comb(t, k) for k in range(3, t + 1))
+    first = second = third = 0
+    ways = 1  # C(t, k)
+    for k in range(1, t + 1):
+        ways = ways * (t - k + 1) // k
+        term = ways * ((1 << (t - k)) - (t - k) - 1)
+        first += term
+        if k >= 2:
+            second += term
+        if k >= 3:
+            third += ((1 << (k - 1)) - 2) * ways
     return 2 * first + 2 * second + third
 
 
@@ -140,28 +149,36 @@ def run_distributions(n_max: int) -> dict[int, dict[int, int]]:
     The run count is a block statistic of the type B partition of
     [-(n-1), n-1] (``run_count_from_partition``).  A block of s magnitudes
     has C(s-1, p-1) sign patterns with p positives, so its run polynomial
-    is w_1 = 1, w_s = 2x + (2^(s-1) - 2)x^2; by the exponential formula the
-    blocks on M magnitudes sum to B(M) = sum_s C(M-1, s-1) w_s B(M-s), and
-    the zero-block adds sum_i C(n-1, i) x^(1 + [i > 0]) B(n-1-i).  The
-    table B(0..n_max-1) is built once and serves every order.
+    is w_1 = 1, w_s = 2x + (2^(s-1) - 2)x^2; by the exponential formula
+    (Flajolet & Sedgewick, *Analytic Combinatorics* II.2) the blocks on M
+    magnitudes sum to B(M) = sum_s C(M-1, s-1) w_s B(M-s), and the
+    zero-block adds sum_i C(n-1, i) x^(1 + [i > 0]) B(n-1-i).  The table
+    B(0..n_max-1) is built once and serves every order.  The sums are
+    unchanged; each binomial comes from the one before it, each block
+    size's two weights are multiplied by it once, and the zero constant
+    term of w_s (s >= 2) is skipped.
     """
     if n_max < 1:
         raise ValueError("n must be positive")
     blocks = [[1]]  # blocks[M][d]: partitions of M magnitudes whose blocks add d runs
     for big_m in range(1, n_max):
-        acc = [0] * (big_m + 1)
-        for s in range(1, big_m + 1):
-            ways = comb(big_m - 1, s - 1)
-            for e, weight in enumerate([1] if s == 1 else [0, 2, 2 ** (s - 1) - 2]):
-                for d, count in enumerate(blocks[big_m - s]):
-                    acc[d + e] += ways * weight * count
+        acc = blocks[big_m - 1] + [0]  # s = 1: a singleton adds no run
+        ways = big_m - 1  # C(M-1, s-1) at s = 2
+        for s in range(2, big_m + 1):
+            one, two = 2 * ways, ((1 << (s - 1)) - 2) * ways
+            for d, count in enumerate(blocks[big_m - s]):
+                acc[d + 1] += one * count
+                acc[d + 2] += two * count
+            ways = ways * (big_m - s) // s
         blocks.append(acc)
     rows = {}
     for t in range(n_max):
-        total = [0] * (t + 2)
-        for i in range(t + 1):
-            for d, count in enumerate(blocks[t - i]):
-                total[d + 1 + (i > 0)] += comb(t, i) * count
+        total = [0] + blocks[t] + [0]  # i = 0: the zero-block {0} adds one run
+        ways = t  # C(t, i) at i = 1
+        for i in range(1, t + 1):
+            for d, count in enumerate(blocks[t - i], 2):
+                total[d] += ways * count
+            ways = ways * (t - i) // (i + 1)
         rows[t + 1] = {k: count for k, count in enumerate(total) if count}
     return rows
 
@@ -187,7 +204,9 @@ def flatm_counts(n_max: int, m: int) -> list[int]:
     b(0) = 1, produces the count for order j+1 (reading b(j) as the
     order-j count would give m at order 1 instead of the correct 1), so
     the count for order n >= 1 is b(n-1); the empty word gives 1 at
-    n = 0.  At m = 2 this reproduces ``dowling(n - 1)``.  The column b
+    n = 0.  At m = 2 this reproduces ``dowling(n - 1)``.  The sum is
+    unchanged; its factor t_k = C(j-1, k-1) * m^(k-1) comes from the one
+    before, t_(k+1) = t_k * m * (j-k) / k.  The column b
     lives for the whole process (module docstring) and each call only
     extends it, so every term is computed once per m; the list returned
     is a fresh copy.
@@ -204,10 +223,12 @@ def _recurrence_column(n_max: int, m: int) -> list[int]:
     with _extending:
         b = _recurrence.setdefault(m, [1])
         for j in range(len(b), n_max):
-            b.append(
-                (m - 1) * b[j - 1]
-                + sum(comb(j - 1, k - 1) * m ** (k - 1) * b[j - k] for k in range(1, j + 1))
-            )
+            total = (m - 1) * b[j - 1]
+            term = 1  # C(j-1, k-1) * m^(k-1) at k = 1
+            for k in range(1, j + 1):
+                total += term * b[j - k]
+                term = term * (j - k) // k * m
+            b.append(total)
     return b
 
 

@@ -252,7 +252,7 @@ def verify_conjectures(max_n: int = 10, budget: int = words.DEFAULT_BUDGET) -> V
     for n in range(1, min(max_n, 10) + 1):
         _guard(report, f"three-run formula vs enumerated count, n={n}", flat3_conjecture(n),
                lambda n=n: image_row(n).get(3, 0))
-    rows = run_distributions(100)  # every order to 100 in about 0.25 s
+    rows = run_distributions(100)  # every order to 100 in about 0.05 s
     identities = [  # (description, the pairs that must agree)
         ("two-run closed form vs recurrence, n<=30",
          ((flat2_closed(n), flat2_recurrence(n + 1)) for n in range(1, 31))),

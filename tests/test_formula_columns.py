@@ -1,4 +1,4 @@
-"""The incremental formula columns against independent one-shot versions.
+"""The incremental formula columns and the running-term sums against earlier versions.
 
 ``dowling``, ``flatm_series`` and ``flatm_counts`` keep process-wide
 columns (per m, the row sums and last row of the r-Whitney triangle, and
@@ -8,6 +8,11 @@ each call, the sums through Stirling weights W_j(x) = sum_i S(j, i) x^(j-i);
 they are kept as oracles.  Whatever order the calls come in, and from
 whatever state, the columns must give the oracles' values, build each
 triangle row once per m and hold O(n) integers, never the triangle.
+
+``flat3_conjecture``, ``run_distributions`` and the recurrence column take
+each binomial coefficient and power from the term before; ``old_flat3``,
+``old_run_distributions`` and ``old_flatm_counts`` are the same sums with
+a fresh ``comb()`` and power per term.
 """
 
 import random
@@ -21,7 +26,15 @@ from typing import Iterator
 import pytest
 
 from flatstir import formulas
-from flatstir.formulas import dowling, flatm_counts, flatm_recurrence, flatm_series, stirling2
+from flatstir.formulas import (
+    dowling,
+    flat3_conjecture,
+    flatm_counts,
+    flatm_recurrence,
+    flatm_series,
+    run_distributions,
+    stirling2,
+)
 from flatstir.typeb import generate_typeb
 
 DOWLING_MAX = 200
@@ -72,9 +85,37 @@ def old_flatm_counts(n_max: int, m: int) -> list[int]:
     return [1] + b[:n_max]
 
 
+def old_flat3(n: int) -> int:
+    t = n - 1
+    first = sum(comb(t, k) * (2 ** (t - k) - (t - k) - 1) for k in range(1, t + 1))
+    second = sum(comb(t, k) * (2 ** (t - k) - (t - k) - 1) for k in range(2, t + 1))
+    third = sum((2 ** (k - 1) - 2) * comb(t, k) for k in range(3, t + 1))
+    return 2 * first + 2 * second + third
+
+
+def old_run_distributions(n_max: int) -> dict[int, dict[int, int]]:
+    blocks = [[1]]
+    for big_m in range(1, n_max):
+        acc = [0] * (big_m + 1)
+        for s in range(1, big_m + 1):
+            ways = comb(big_m - 1, s - 1)
+            for e, weight in enumerate([1] if s == 1 else [0, 2, 2 ** (s - 1) - 2]):
+                for d, count in enumerate(blocks[big_m - s]):
+                    acc[d + e] += ways * weight * count
+        blocks.append(acc)
+    rows = {}
+    for t in range(n_max):
+        total = [0] * (t + 2)
+        for i in range(t + 1):
+            for d, count in enumerate(blocks[t - i]):
+                total[d + 1 + (i > 0)] += comb(t, i) * count
+        rows[t + 1] = {k: count for k, count in enumerate(total) if count}
+    return rows
+
+
 @lru_cache(maxsize=None)
-def old_column(m: int) -> tuple[int, ...]:
-    return tuple(old_flatm_counts(60, m))
+def old_column(m: int, n_max: int = 60) -> tuple[int, ...]:
+    return tuple(old_flatm_counts(n_max, m))
 
 
 # --- fixtures and helpers --------------------------------------------------------
@@ -137,6 +178,42 @@ def test_series_and_recurrence_match_the_oracles_in_any_call_order(cold, how):
         assert flatm_series(n, m) == old_flatm_series(n, m), (n, m)
         assert flatm_recurrence(n, m) == old_column(m)[n], (n, m)
         assert flatm_counts(n, m) == list(old_column(m)[: n + 1]), (n, m)
+
+
+RECURRENCE_GRID = [(n, m) for n in range(151) for m in range(2, 13)]
+
+
+@pytest.mark.parametrize("how", ORDERS)
+def test_the_recurrence_column_matches_the_comb_oracle_in_any_call_order(cold, how):
+    for n, m in orders(RECURRENCE_GRID, how):
+        assert flatm_counts(n, m) == list(old_column(m, 150)[: n + 1]), (n, m)
+    assert {m: len(b) for m, b in formulas._recurrence.items()} == {m: 150 for m in range(2, 13)}
+
+
+def test_flat3_matches_the_comb_oracle():
+    for n in range(1, 401):
+        assert flat3_conjecture(n) == old_flat3(n), n
+
+
+def test_run_distributions_match_the_comb_oracle_row_by_row():
+    rows, expected = run_distributions(120), old_run_distributions(120)
+    assert list(rows) == list(expected) == list(range(1, 121))
+    for n in rows:
+        assert rows[n] == expected[n], n
+
+
+def test_flat3_and_run_distributions_leave_the_columns_alone(cold):
+    def state():
+        return ({m: (list(sums), list(row)) for m, (sums, row) in formulas._triangles.items()},
+                {m: list(b) for m, b in formulas._recurrence.items()})
+
+    dowling(30)
+    flatm_counts(20, 3)
+    held, before = held_integers(), state()
+    for n in (1, 2, 3, 60, 150):
+        flat3_conjecture(n)
+    run_distributions(60)
+    assert (held_integers(), state()) == (held, before)
 
 
 def test_dowling_and_the_series_at_m_2_share_one_column(cold):
