@@ -29,41 +29,27 @@ negative segments rebuilds the blocks in reverse order.  One pass records
 each letter's first position, so the peel is linear in the word.
 
 Run counts of the images are read per block, not per word.  A word's
-runs are 1 plus its descents, and each adjacent pair lies inside one
-segment or at the join of two, so the runs are 1 plus, for each block,
-its segment's inner descents and one more if the join on its left is a
-descent.  The zero-block is the block of magnitude 0: its minimum is
-the lowest, so it comes first, and its one variant is all positive.
-Every signed variant of a block ends on the block's minimum plus one
-(the minimum stays positive and ``min_wrapped`` puts it last), so the
-letter left of each join is fixed by the block before it, whatever its
-signs.  The blocks' signs thus add independent descent histograms, and
-the run distribution of one partition shape is their product.
-
-A block's histogram depends only on its size (and on whether it holds
-magnitude 0), by order isomorphism.  A variant's letters are v + 1 for
-v in the block, and where each letter sits depends only on its rank in
-the block and on the signs, so adjacent letters compare as they do in
-the variant with the same signs of the template block 1..s (0..s-1 for
-a zero-block).  The variants of each size are therefore built once, as
-the template's histogram of (rank of the first letter, inner
-descents), and a block's histogram is the template's with rank r read
-as the letter ``block[r] + 1`` (``_block_histogram``).
-``image_run_distributions`` sums the shapes by a recurrence on the
-block of the smallest magnitude, instead of building every word.  Its
-states are (remaining magnitudes as a bitmask, letter before them);
-those without magnitude 0 are shared by every order, so one memo gives
-every row.  On canonical images every join is an ascent (the next
-block's letters exceed its minimum plus one, which exceeds the previous
-block's), but the count still compares the letters: it reads the
-images' letters, not this argument, and stays independent of
-``run_count_from_partition``.
+runs are 1 plus its descents, each inside one segment or at the join of
+two.  The zero-block (magnitude 0) comes first, with one all-positive
+variant.  Every variant of a block ends on its minimum plus one, so the
+letter before each join is fixed by the block before it, whatever its
+signs, and the blocks' signs add independent descent histograms.  A
+variant's letters are v + 1 for v in the block, placed by their ranks
+and the signs alone, so its inner descents and the rank of its first
+letter depend only on the block's size (and whether it is the
+zero-block): its order type.  ``_template`` builds each size's variants
+once, on the block 1..s (0..s-1).  The join before a block is a descent
+when the previous letter exceeds the variant's first letter, so
+``image_run_distributions`` keeps the magnitudes whose letters lie below
+the previous letter and counts how many fall in each block.  On
+canonical images no join is a descent, but the count does not assume it
+and stays independent of ``run_count_from_partition``.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_BUDGET, DomainError, NotFlattenedError, check_budget
 from .formulas import dowling
@@ -137,76 +123,41 @@ def _template(size: int, zero: bool) -> dict[tuple[int, int], int]:
     return {(first - 1 - low, inner): count for (first, inner), count in hist.items()}
 
 
-def _block_histogram(
-    block: tuple[int, ...], template: Callable[[int, bool], dict[tuple[int, int], int]] = _template
-) -> tuple[dict[tuple[int, int], int], int]:
-    """``_variant_descents(block)``, relabelled from its size's template: no variant is built.
-
-    Rank r of the template's first letters becomes the letter
-    ``block[r] + 1``, and the inner descents stay, since the variants
-    with the same signs are order-isomorphic (module docstring).
-    ``template(size, zero)`` gives the template; a caller may memoize it.
-    """
-    hist = template(len(block), not block[0])
-    return {(block[rank] + 1, inner): count for (rank, inner), count in hist.items()}, block[0] + 1
-
-
-def _magnitudes(mask: int) -> tuple[int, ...]:
-    """The set bits of ``mask``, ascending: bit v stands for magnitude v."""
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
-
-
 def image_run_distributions(n_max: int) -> dict[int, dict[int, int]]:
     """{n: {runs: words}} over the images of the canonical partitions of [-(n-1), n-1], n <= n_max.
 
-    No image is built: its runs are one base run plus each block's
-    descents after the letter before it (module docstring).  A set of
-    magnitudes is a bitmask, bit v for magnitude v.  The blocks of
-    ``rest``, ordered by their minima, are one block B holding its lowest
-    bit and then those of rest - B, so their variants after the letter
-    ``prev`` have the descent histogram
+    No image is built (module docstring).  A set of magnitudes is a
+    bitmask, bit v for magnitude v, and ``under`` is the set of rest's
+    magnitudes whose letters lie below the previous letter.  The blocks
+    of ``rest`` are one block B holding its lowest bit ``low`` and then
+    those of rest - B, so
 
-        blocks(rest, prev) = sum over B of packed(B, prev) * blocks(rest - B, last)
+        blocks(rest, under) = sum over B of packed(B, under) * blocks(rest - B, under')
 
-    with blocks(0, prev) = 1, ``packed(B, prev)`` the histogram of B's
-    variants' inner descents plus the join ``prev`` > first letter, and
-    ``last`` the last letter of B's variants.  B is the lowest bit joined
-    to each submask of the other bits, taken by ``sub = (sub - 1) & others``.
-    The block holding bit 0 is the zero-block, so order n is
-    blocks((1 << n) - 1, 0) plus one base run; 0 is below every letter,
-    so the first segment adds no join.  The states without bit 0 do not
-    depend on n, so every one of a smaller order is also one of order
-    n_max, and one memo serves every row; all rows together cost about
-    what the last row costs.
-
-    A histogram {d: c} is held as the integer sum of c * X**d with
-    X = 2**shift, so products convolve histograms and sums add them.  No
-    count carries into the next digit: each is at most the number of
-    words of length 2n over 1..n, and the shift is n_max's, so X exceeds
-    every row's counts.  The signed variants are built once per block
-    size and zero or not (``_template``): a block's variants with the
-    same signs are order-isomorphic to the template's, so its histogram
-    is the template's with each first letter's rank r relabelled as
-    ``block[r] + 1`` (``_block_histogram``).  The join ``prev`` > first
-    letter is then compared once per (block, prev) against that block's
-    own first letters.  The memos live for one call.  Order 0 has no
-    row, so ``n_max`` 0 gives ``{}``.
+    with blocks(0, under) = 1 and under' = (rest - B) & (low - 1): every
+    variant of B ends on min(B) + 1, above exactly the letters of the
+    magnitudes below ``low``.  B's magnitudes in ``under`` are its
+    smallest, so its join is a descent exactly on the template ranks
+    r < |B & under|, and ``packed`` is the template of B's size with one
+    more descent there.  Order n is blocks((1 << n) - 1, 0) plus one base
+    run; the states without bit 0 (the zero-block's) do not depend on n,
+    so one memo serves every row.  A histogram {d: c} is the integer sum
+    of c * X**d with X = 2**shift, so products convolve and sums add; no
+    count reaches X, as each is at most (2n-1)!!.  ``n_max`` 0 gives ``{}``.
     """
     if n_max < 0:
         raise ValueError("n must be nonnegative")
     shift = 2 * n_max * n_max.bit_length()
-    template = cache(_template)
 
     @cache
-    def packed(block: int, prev: int) -> tuple[int, int]:
-        hist, last = _block_histogram(_magnitudes(block), template)
-        poly = sum(
-            count << shift * (inner + (prev > first)) for (first, inner), count in hist.items()
+    def packed(size: int, zero: bool, below: int) -> int:
+        return sum(
+            count << shift * (inner + (rank < below))
+            for (rank, inner), count in _template(size, zero).items()
         )
-        return poly, last
 
     @cache
-    def blocks(rest: int, prev: int) -> int:
+    def blocks(rest: int, under: int) -> int:
         if not rest:
             return 1
         low = rest & -rest
@@ -214,8 +165,9 @@ def image_run_distributions(n_max: int) -> dict[int, dict[int, int]]:
         total = 0
         sub = others
         while True:
-            poly, last = packed(low | sub, prev)
-            total += poly * blocks(others ^ sub, last)
+            block, left = low | sub, others ^ sub
+            poly = packed(block.bit_count(), low == 1, (block & under).bit_count())
+            total += poly * blocks(left, left & (low - 1))
             if not sub:
                 return total
             sub = (sub - 1) & others
@@ -341,6 +293,8 @@ def iter_flattened_letters(n: int) -> Iterator[tuple[int, ...]]:
     The partition stream encodes each signed block once as its letter
     segment; a word is its zero-block segment followed by those segments.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     zero_block = head = None
     for support, segments in _iter_typeb_stream(n - 1, _segment):
         if support is not zero_block:

@@ -41,7 +41,7 @@ from .bijection import image_run_distributions
 from .bijection import iter_flattened_letters  # noqa: F401  bench/passes.py patches the name
 from .errors import DEFAULT_BUDGET, CacheCoherenceError, Record, TableFormatError, check_budget
 from .errors import DECIMAL_RE, check_digits, max_str_digits
-from .formulas import dowling, flatm_counts, max_runs, mstirling_count, run_distributions
+from .formulas import dowling, flatm_counts, max_runs, run_distributions
 from .words import _check_budget, _walk_stats
 from .words import count_stirling_stats  # noqa: F401  bench/passes.py patches the name
 
@@ -111,11 +111,12 @@ def flat_k_table(n_max: int, mode: str = "bijection", budget: int = DEFAULT_BUDG
     caps |Q_n| at n = 9, and orders 1-9 take about 0.1 s), ``bijection``
     from one block-by-block count of the partition images
     (``image_run_distributions``; the default budget caps them at n = 11,
-    and orders 1-11 take about 0.04 s on 2 CPUs, 1-12 about 0.10 s), and
+    and orders 1-11 take 22-40 ms on 2 CPUs, 1-12 72-128 ms), and
     ``formula`` from one ``run_distributions(n_max)`` call (order 200 in
     about 0.55 s on 2 CPUs; its sums are unchanged, each binomial taken
-    from the one before it).  The |Q_n| column is the product formula.  The
-    two enumerations fill their ``flat`` and ``flat_k`` entries with
+    from the one before it).  The |Q_n| column is the product formula as
+    a running product, each entry the one before times 2n - 1.  The two
+    enumerations fill their ``flat`` and ``flat_k`` entries with
     provenance ``enumeration``, the formula with ``formula``.  An
     enumeration checks every order against the budget, ascending, before
     it counts the first.
@@ -135,9 +136,11 @@ def flat_k_table(n_max: int, mode: str = "bijection", budget: int = DEFAULT_BUDG
         rows = [stats.flat_by_runs for stats in _walk_stats(n_max, 2)]
     provenance = "formula" if mode == "formula" else "enumeration"
     table = CountTable()
+    stirling = 1
     for n in range(1, n_max + 1):
         by_runs = rows[n]
-        table.put("stirling", n, 2, None, mstirling_count(n, 2), "formula")
+        stirling *= 2 * n - 1
+        table.put("stirling", n, 2, None, stirling, "formula")
         table.put("flat", n, 2, None, sum(by_runs.values()), provenance)
         for k, cnt in sorted(by_runs.items()):
             table.put("flat_k", n, 2, k, cnt, provenance)
@@ -153,7 +156,8 @@ def mstirling_table(
     for all its orders, which checks every cell against the budget, in
     loop order, before it counts the first; ``formula`` evaluates the
     recurrence, one ``flatm_counts`` pass per m.  Both modes record
-    |Q_n^m| by its product formula.
+    |Q_n^m| by its product formula, one running product per m: each
+    entry is the one before times (n - 1)m + 1.
     """
     if mode == "formula":
         columns = {m: flatm_counts(n_max, m) for m in range(2, m_max + 1)}
@@ -168,9 +172,11 @@ def mstirling_table(
         }
     provenance = "formula" if mode == "formula" else "enumeration"
     table = CountTable()
+    stirling = dict.fromkeys(columns, 1)
     for n in range(1, n_max + 1):
-        for m in range(2, m_max + 1):
-            table.put("stirling", n, m, None, mstirling_count(n, m), "formula")
+        for m in columns:
+            stirling[m] *= (n - 1) * m + 1
+            table.put("stirling", n, m, None, stirling[m], "formula")
             table.put("mstirling_flat", n, m, None, columns[m][n], provenance)
     return table
 

@@ -43,6 +43,11 @@ class TestGen:
         assert code == 0
         assert json.loads(out) == ["2 2 1 1", "1 2 2 1", "1 1 2 2"]
 
+    def test_stirling_at_m_one_prints_the_permutations(self, capsys):
+        """m = 1 is the smallest multiplicity: its words of order 4 are the 4! permutations."""
+        code, out, _ = run_cli(capsys, "gen", "stirling", "--n", "4", "--m", "1")
+        assert code == 0 and len(out.splitlines()) == len(set(out.splitlines())) == 24
+
     def test_flat_via_bijection_matches_filter_as_sets(self, capsys):
         code, filt, _ = run_cli(capsys, "gen", "flat", "--n", "4")
         code2, bij, _ = run_cli(capsys, "gen", "flat", "--n", "4", "--via", "bijection")

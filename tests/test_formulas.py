@@ -10,7 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from flatstir.bijection import generate_flattened_from_partitions, max_runs_witness
+from flatstir.bijection import (
+    generate_flattened_from_partitions,
+    iter_flattened_letters,
+    max_runs_witness,
+)
 from flatstir.formulas import (
     double_factorial,
     dowling,
@@ -27,7 +31,7 @@ from flatstir.formulas import (
 )
 from flatstir.reference import TABLE1, TABLE2
 from flatstir.typeb import generate_typeb
-from flatstir.words import count_stirling_stats
+from flatstir.words import count_stirling_stats, generate_stirling
 
 
 def brute_set_partitions(items):
@@ -44,6 +48,7 @@ def brute_set_partitions(items):
 
 
 def test_double_factorial_values():
+    assert double_factorial(0) == 1
     assert double_factorial(1) == 1
     assert double_factorial(4) == 105
     assert double_factorial(10) == 654729075
@@ -145,6 +150,9 @@ def test_mstirling_count():
     assert mstirling_count(4, 3) == 280
     for n in range(1, 11):
         assert mstirling_count(n, 2) == double_factorial(n)
+    # m = 1 is a valid multiplicity: each letter once, so the words are the n! permutations
+    for n in range(7):
+        assert mstirling_count(n, 1) == math.factorial(n) == len(list(generate_stirling(n, 1))), n
 
 
 def test_flatm_recurrence_matches_reference_table():
@@ -204,6 +212,8 @@ ARGUMENT_CHECKS = {
     "max_runs_witness": (lambda: max_runs_witness(0), "n must be positive"),
     "generate_flattened_from_partitions": (
         lambda: next(generate_flattened_from_partitions(0)), "n must be positive"),
+    "iter_flattened_letters-0": (lambda: list(iter_flattened_letters(0)), "n must be positive"),
+    "iter_flattened_letters-neg": (lambda: list(iter_flattened_letters(-2)), "n must be positive"),
     "generate_typeb": (lambda: next(generate_typeb(-1)), "n must be nonnegative"),  # dowling's
 }
 

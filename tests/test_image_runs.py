@@ -1,17 +1,18 @@
 """Run counts of the partition images, counted per block without building the words.
 
-``image_run_distributions`` multiplies per-block descent histograms
-(each block's relabelled from the one template of its size,
-``_block_histogram``, plus the join after the previous letter) in one
-recurrence on the block holding the smallest magnitude, the zero-block
-(magnitude 0) first, every order from one memo.  These tests pin it to
-the run counts of the built image words order by order and to the
-formula up to order 13, for each row read alone and for all rows of one
-call, pin the product of a shape's histograms, zero-block included, to
-its words, pin each relabelled histogram to the one read from the
-block's own signed segments (``_variant_descents``), and pin those to
-the descents of explicitly signed block segments after any previous
-letter.
+``image_run_distributions`` multiplies per-block descent histograms in
+one recurrence on the block holding the smallest magnitude, the
+zero-block (magnitude 0) first, every order from one memo.  Each
+block's histogram is its size's template (``_template``) plus one
+descent on each first-letter rank below the number of its letters under
+the previous letter.  These tests pin the count to the run counts of the
+built image words up to order 9 and to the formula up to order 14, for
+each row read alone and for all rows of one call; pin the product of a
+shape's histograms, zero-block included, to its words; pin the template
+relabelled as the block (rank r read as ``block[r] + 1``) to the
+histogram of the block's own signed segments (``_variant_descents``);
+and pin the template-plus-rank rule to the descents of explicitly signed
+block segments after any previous letter, descending joins included.
 """
 
 from collections import Counter
@@ -21,8 +22,8 @@ import pytest
 
 from flatstir import tables
 from flatstir.bijection import (
-    _block_histogram,
     _segment,
+    _template,
     _variant_descents,
     image_run_distributions,
     iter_flattened_letters,
@@ -84,8 +85,8 @@ def test_one_call_gives_every_row(bijection_runs):
         assert bijection_runs[n] == _built_runs(iter_flattened_letters(n)), n
 
 
-def test_one_call_gives_the_formula_up_to_order_13():
-    assert image_run_distributions(13) == run_distributions(13)
+def test_one_call_gives_the_formula_up_to_order_14():
+    assert image_run_distributions(14) == run_distributions(14)
 
 
 def test_orders_are_checked():
@@ -122,10 +123,12 @@ def test_each_shape_is_the_product_of_its_block_histograms(n):
 
 @pytest.mark.parametrize("size", range(1, 9))
 def test_block_histogram_reads_the_letters_after_any_previous_letter(size):
-    """Every previous letter 0..13, including ones above the block's letters: a
-    join that is a descent must count, though canonical images have none.
-    Both the histogram of the block's own segments and the relabelled
-    template the count uses."""
+    """Every block of magnitudes 1..8 after every previous letter 0..13,
+    including ones above the block's letters: a join that is a descent must
+    count, though canonical images have none.  The count's rule is the
+    template of the block's size with one more descent on each rank below
+    the number of the block's letters under the previous letter."""
+    template = _template(size, False)
     for block in combinations(range(1, 9), size):
         low, rest = block[0], block[1:]
         variants = [
@@ -134,12 +137,14 @@ def test_block_histogram_reads_the_letters_after_any_previous_letter(size):
             for k in range(len(rest) + 1)
             for negatives in combinations(rest, k)
         ]
-        hist, last = _variant_descents(block)
-        assert _block_histogram(block) == (hist, last), block
+        assert {letters[-1] for letters in variants} == {low + 1}, block
         for prev in range(14):
+            below = sum(1 for v in block if v + 1 < prev)
+            rule: Counter = Counter()
+            for (rank, inner), count in template.items():
+                rule[inner + (rank < below)] += count
             expected = Counter(len(run_starts((prev,) + letters)) - 1 for letters in variants)
-            assert _convolve(ONE, prev, hist) == expected, (block, prev)
-            assert {letters[-1] for letters in variants} == {last} == {low + 1}
+            assert rule == expected, (block, prev)
 
 
 def test_canonical_images_have_no_descent_at_a_join():
@@ -157,11 +162,15 @@ def test_canonical_images_have_no_descent_at_a_join():
 
 
 def test_relabelled_template_equals_the_block_own_variants():
-    """The order-isomorphism lemma of the bijection docstring, on every block
-    of magnitudes 1..11 and every zero-block of magnitudes 0..11: the
-    template of the block's size, with rank r read as ``block[r] + 1``, is
-    the histogram of the block's own segments."""
+    """The order-type lemma of the bijection docstring, on every block of
+    magnitudes 1..11 and every zero-block of magnitudes 0..11: the template
+    of the block's size, with rank r read as the letter ``block[r] + 1``, is
+    the histogram of the block's own segments, all ending on its minimum
+    plus one."""
     for size in range(12):
         for rest in combinations(range(1, 12), size):
             for block in ((0,) + rest, rest) if rest else [(0,)]:
-                assert _block_histogram(block) == _variant_descents(block), block
+                template = _template(len(block), not block[0])
+                relabelled = {(block[rank] + 1, inner): count
+                              for (rank, inner), count in template.items()}
+                assert (relabelled, block[0] + 1) == _variant_descents(block), block

@@ -85,6 +85,21 @@ class TestBuilders:
                         mstirling_count(n, m), "formula"
                     )
 
+    def test_every_stirling_entry_is_the_product_formula(self):
+        """The builders' running products equal ``mstirling_count`` on each table's grid."""
+        top, m_top = tables.FORMULA_MAX_ORDER, tables.FORMULA_MAX_MULTIPLICITY
+        grids = [
+            (mstirling_table(top, m_top, mode="formula"), top, range(2, m_top + 1)),
+            (flat_k_table(60, mode="formula"), 60, [2]),
+            (flat_k_table(9, mode="bijection"), 9, [2]),
+        ]
+        for table, n_max, ms in grids:
+            stirling = {(n, m): count for (kind, n, m, _), (count, _) in table.entries.items()
+                        if kind == "stirling"}
+            assert stirling == {
+                (n, m): mstirling_count(n, m) for n in range(1, n_max + 1) for m in ms
+            }
+
     def test_formula_columns_equal_the_recurrence_per_cell(self):
         table = mstirling_table(30, 6, mode="formula")
         for n in range(1, 31):

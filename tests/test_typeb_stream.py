@@ -153,8 +153,8 @@ def test_generate_typeb_shares_each_signed_block():
 
 
 def test_run_count_builds_no_image_word(monkeypatch):
-    """``count_runs_via_bijection`` reads each block's histogram from its size's template;
-    no word stream runs."""
+    """``count_runs_via_bijection`` builds only the sign variants of one template block per
+    size; no word stream runs."""
     def refuse(*args, **kwargs):
         raise AssertionError("an image word was built")
 
