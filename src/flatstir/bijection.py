@@ -35,15 +35,14 @@ variant.  Every variant of a block ends on its minimum plus one, so the
 letter before each join is fixed by the block before it, whatever its
 signs, and the blocks' signs add independent descent histograms.  A
 variant's letters are v + 1 for v in the block, placed by their ranks
-and the signs alone, so its inner descents and the rank of its first
-letter depend only on the block's size (and whether it is the
-zero-block): its order type.  ``_template`` builds each size's variants
-once, on the block 1..s (0..s-1).  The join before a block is a descent
-when the previous letter exceeds the variant's first letter, so
-``image_run_distributions`` keeps the magnitudes whose letters lie below
-the previous letter and counts how many fall in each block.  On
-canonical images no join is a descent, but the count does not assume it
-and stays independent of ``run_count_from_partition``.
+and the signs alone, so its inner descents depend only on the block's
+size (and whether it is the zero-block): its order type.  ``_template``
+builds each size's variants once, on the block 1..s (0..s-1).  No join
+is a descent: every variant of a block B ends on min(B) + 1, and every
+later block's first letter is at least its own minimum + 1, which is
+larger, since the blocks come in order of their minima.  So an image's
+runs are 1 plus the inner descents of its blocks' variants, and the
+count stays independent of ``run_count_from_partition``.
 """
 
 from __future__ import annotations
@@ -127,37 +126,29 @@ def image_run_distributions(n_max: int) -> dict[int, dict[int, int]]:
     """{n: {runs: words}} over the images of the canonical partitions of [-(n-1), n-1], n <= n_max.
 
     No image is built (module docstring).  A set of magnitudes is a
-    bitmask, bit v for magnitude v, and ``under`` is the set of rest's
-    magnitudes whose letters lie below the previous letter.  The blocks
-    of ``rest`` are one block B holding its lowest bit ``low`` and then
-    those of rest - B, so
+    bitmask, bit v for magnitude v.  The blocks of ``rest`` are one block
+    B holding its lowest bit and then those of rest - B, so
 
-        blocks(rest, under) = sum over B of packed(B, under) * blocks(rest - B, under')
+        blocks(rest) = sum over B of packed(B) * blocks(rest - B)
 
-    with blocks(0, under) = 1 and under' = (rest - B) & (low - 1): every
-    variant of B ends on min(B) + 1, above exactly the letters of the
-    magnitudes below ``low``.  B's magnitudes in ``under`` are its
-    smallest, so its join is a descent exactly on the template ranks
-    r < |B & under|, and ``packed`` is the template of B's size with one
-    more descent there.  Order n is blocks((1 << n) - 1, 0) plus one base
-    run; the states without bit 0 (the zero-block's) do not depend on n,
-    so one memo serves every row.  A histogram {d: c} is the integer sum
-    of c * X**d with X = 2**shift, so products convolve and sums add; no
-    count reaches X, as each is at most (2n-1)!!.  ``n_max`` 0 gives ``{}``.
+    with blocks(0) = 1; no join is a descent, so ``packed`` is the
+    template histogram of B's size.  Order n is blocks((1 << n) - 1) plus
+    one base run; the states without bit 0 (the zero-block's) do not
+    depend on n, so one memo serves every row.  A histogram {d: c} is
+    the integer sum of c * X**d with X = 2**shift, so products convolve
+    and sums add; no count reaches X, as each is at most (2n-1)!!.
+    ``n_max`` 0 gives ``{}``.
     """
     if n_max < 0:
         raise ValueError("n must be nonnegative")
     shift = 2 * n_max * n_max.bit_length()
 
     @cache
-    def packed(size: int, zero: bool, below: int) -> int:
-        return sum(
-            count << shift * (inner + (rank < below))
-            for (rank, inner), count in _template(size, zero).items()
-        )
+    def packed(size: int, zero: bool) -> int:
+        return sum(count << shift * inner for (_, inner), count in _template(size, zero).items())
 
     @cache
-    def blocks(rest: int, under: int) -> int:
+    def blocks(rest: int) -> int:
         if not rest:
             return 1
         low = rest & -rest
@@ -165,9 +156,7 @@ def image_run_distributions(n_max: int) -> dict[int, dict[int, int]]:
         total = 0
         sub = others
         while True:
-            block, left = low | sub, others ^ sub
-            poly = packed(block.bit_count(), low == 1, (block & under).bit_count())
-            total += poly * blocks(left, left & (low - 1))
+            total += packed((low | sub).bit_count(), low == 1) * blocks(others ^ sub)
             if not sub:
                 return total
             sub = (sub - 1) & others
@@ -175,7 +164,7 @@ def image_run_distributions(n_max: int) -> dict[int, dict[int, int]]:
     digit = (1 << shift) - 1
     rows = {}
     for n in range(1, n_max + 1):
-        total = blocks((1 << n) - 1, 0) << shift
+        total = blocks((1 << n) - 1) << shift
         counts = (total >> shift * runs & digit for runs in range(total.bit_length() // shift + 1))
         rows[n] = {runs: count for runs, count in enumerate(counts) if count}
     return rows

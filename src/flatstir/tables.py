@@ -7,8 +7,10 @@ provenance of that number:
   (kind ``stirling``) in every table mode, and every entry of a
   ``formula``-mode table,
 * ``enumeration`` -- read off the flattened words: the pruned filter
-  walk visits each one, and bijection mode counts the partition images
-  block by block, from the letters of every sign variant,
+  walk builds each one up to order n - 2 and tallies orders n - 1 and
+  n from the generating-tree labels (a, b) of their parents and
+  grandparents, and bijection mode counts the partition images block by
+  block, from the letters of every sign variant,
 * ``cached``      -- read back from a parsed CSV table.
 
 Kinds: ``stirling`` (|Q_n^m|), ``flat`` (flattened doubled words),
@@ -108,8 +110,9 @@ def flat_k_table(n_max: int, mode: str = "bijection", budget: int = DEFAULT_BUDG
     Only the run distribution comes from ``mode``, and each mode takes
     every row from one pass: ``filter`` from one walk of the insertion
     tree pruned to flattened words (``_walk_stats``; the default budget
-    caps |Q_n| at n = 9, and orders 1-9 take about 0.1 s), ``bijection``
-    from one block-by-block count of the partition images
+    caps |Q_n| at n = 9, and orders 1-9 take about 12 ms on 2 CPUs, as
+    the walk stops at order 7), ``bijection`` from one block-by-block
+    count of the partition images
     (``image_run_distributions``; the default budget caps them at n = 11,
     and orders 1-11 take 22-40 ms on 2 CPUs, 1-12 72-128 ms), and
     ``formula`` from one ``run_distributions(n_max)`` call (order 200 in

@@ -42,14 +42,43 @@ every m, and yields the flattened words in the order of the full stream.
 Counting the words of an order needs none of them built.  By the same
 cases, a flattened w with r >= 1 runs has exactly r flattened children
 with r runs (the end gap and the r - 1 descents) and one with r + 1
-runs for each gap inside a run whose letter is at most the next leader;
-the empty word has one child, with one run.  Each child's run count is
-fixed by its parent alone, so the counts by run number at order v + 1
-are tallied from the flattened words of order v by one scan of each.
-One serial walk from the empty word to order n - 1 meets every
-flattened word of every order below n, so it tallies every order
-0..n at once and builds no word of order n; nothing here starts a
-process.
+runs for each *counted* gap: a gap inside a run whose letter is at most
+the next leader.  The empty word has one child, 1^m.  Label a nonempty
+flattened word (a, b), with a its run count and b its counted gaps.  The
+label alone fixes the labels of the children, a generating tree in the
+sense of West, "Generating trees and the Catalan and Schröder numbers"
+(1995):
+
+    (a, b) -> (a - 1) x (a, b),  1 x (a, b + m),  b x (a + 1, b - 1)
+
+for the descents, the end gap and the counted gaps.  Inserting the
+block at gap g replaces g by the gap before the block, the m - 1 gaps
+inside it and (unless g is the end) the gap after it, each new one with
+letter v; every other gap keeps its two letters.  Then:
+
+* end gap: the new gaps are in-run with no leader to their right, so
+  all m count, and the leaders are unchanged, so no old gap changes:
+  (a, b + m);
+* descent gap g: v > w[g] makes w[g] the next leader of the new gaps,
+  so none counts, and the gap after the block is a descent; every old
+  gap keeps its run and its next leader: (a, b);
+* counted gap g: the new gaps likewise do not count, and g, which did,
+  is gone; w[g] becomes a leader, so a + 1.  A gap outside g's run, or
+  right of g, keeps its next leader.  The earlier gaps of g's run see w[g]
+  rather than the larger leader after the run, but their letters are at
+  most w[g-1] <= w[g], so they count still: (a + 1, b - 1).
+
+1^m is labelled (1, m - 1): its m - 1 inner gaps have no leader to their
+right.  Each rule keeps a + b or adds m (only the end gap), so a + b =
+m(k + 1), with k the end-gap insertions on the path from 1^m.  Summing
+the rule twice, a word labelled (a, b) has a^2 grandchildren with a
+runs, 2ab + b + m with a + 1 and b(b - 1) with a + 2.
+
+So the counts by run number at orders v + 1 and v + 2 are tallied from
+the labels of the flattened words of order v, each read by one scan.
+One serial walk from 1^m to order n - 2 meets every flattened word of
+every order below n - 1, so it tallies every order 0..n at once and
+builds no word of order n - 1 or n; nothing here starts a process.
 """
 
 from __future__ import annotations
@@ -280,8 +309,11 @@ class StirlingStats(Record):
 
     ``total`` is |Q_n^m| from the product formula (the budget projection);
     the walk never counts the words it prunes.  ``flat_total`` and
-    ``flat_by_runs`` count the flattened words the walk finds, and
-    ``visited`` the children it tried, flattened or not.
+    ``flat_by_runs`` count the flattened words of order n.  ``visited``
+    is the pruned walk's children, flattened or not, over all orders up
+    to n: sum over v < n of flat(v) * (v*m + 1).  The walk tries only the
+    terms for v < n - 1 and reads the last from the generating-tree
+    labels (``_walk_stats``).
     """
 
     order: int
@@ -333,44 +365,73 @@ def _walk_flat(
                 pending.append((word, g, block, runs + 1))
 
 
-def _tally_children(word: tuple[int, ...], runs: int, by_runs: dict[int, int]) -> None:
-    """Add the flattened children of ``word`` to ``by_runs`` by run count.
+def _scan_gaps(word: tuple[int, ...]) -> tuple[int, bool]:
+    """(b, counted first) for a nonempty flattened word.
 
-    The children are counted, not built: the right-to-left gap scan with
-    which ``_walk_flat`` pushes them, counting instead of pushing (see the
-    module docstring).  ``word`` is flattened with ``runs`` runs.
+    b, the second half of its label, counts the in-run gaps whose letter
+    is at most the next leader; "counted first" tells whether the leftmost
+    of those and of the descents is such a gap, so that the word's
+    leftmost child has one more run.  This is the right-to-left gap scan
+    with which ``_walk_flat`` pushes the children, counting instead of
+    pushing (see the module docstring).
     """
-    if not word:
-        by_runs[1] = by_runs.get(1, 0) + 1
-        return
-    added = 0
+    counted = 0
+    counted_first = False
     next_leader = math.inf
     right = word[-1]
     for left in word[-2::-1]:
         if left > right:
             next_leader = right
+            counted_first = False
         elif right <= next_leader:
-            added += 1
+            counted += 1
+            counted_first = True
         right = left
-    # the end gap and the runs - 1 descents keep the run count
-    by_runs[runs] = by_runs.get(runs, 0) + runs
-    if added:
-        by_runs[runs + 1] = by_runs.get(runs + 1, 0) + added
+    return counted, counted_first
+
+
+def _grandchildren(a: int, b: int, m: int) -> tuple[tuple[int, int], ...]:
+    """(runs, words) of the grandchildren of a word labelled (a, b), by the label rule."""
+    return (a, a * a), (a + 1, 2 * a * b + b + m), (a + 2, b * (b - 1))
 
 
 def _walk_stats(n: int, m: int) -> list[StirlingStats]:
     """Pruned-walk counts for the flattened words of every order 0..n, from one walk.
 
-    The walk stops one order short of n and tallies the flattened children
-    of each word of order v into row v + 1, so the words of order n are
-    never built.  Each flattened word of order v tries all its v*m + 1
-    gaps, so ``visited`` at order v + 1 is that at order v plus
-    flat(v) * (v*m + 1).  ``total`` is |Q_v^m| by its product formula.
+    The walk runs from 1^m, labelled (1, m - 1), to order n - 2 (module
+    docstring).  Each word of order v is scanned once for its label
+    (a, b), which tallies its a + b children into row v + 1 and, at
+    v = n - 2, its grandchildren into row n; the empty word's one child
+    goes into row 1.  No word of order n - 1 or n is built.
+
+    Each row lists its run counts in the order that a walk building the
+    words of order n - 1 would first tally them, a word's children with
+    a runs before those with a + 1: so when a word's leftmost child has
+    a + 1 runs, its grandchildren with a + 1 and a + 2 runs come before
+    those with a.  ``visited`` counts the v*m + 1 gaps of each flattened
+    word of order v < n, built or not: at order v + 1 it is that at
+    order v plus flat(v) * (v*m + 1), and the walk itself tries only the
+    terms for v < n - 1.  ``total`` is |Q_v^m| by its product formula.
     """
     rows: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n)]
+
+    def add(row: dict[int, int], counts: Iterable[tuple[int, int]]) -> None:
+        for runs, count in counts:
+            if count:
+                row[runs] = row.get(runs, 0) + count
+
     if n:
-        for word, runs in _walk_flat((), 0, n - 1, m):
-            _tally_children(word, runs, rows[len(word) // m + 1])
+        rows[1][1] = 1  # the empty word's one child
+    if n > 2:
+        labels = ((len(word) // m, runs, *_scan_gaps(word))
+                  for word, runs in _walk_flat((1,) * m, 1, n - 2, m))
+    else:
+        labels = [(1, 1, m - 1, False)] if n == 2 else []  # 1^m is of order n - 1: not built
+    for v, a, b, counted_first in labels:
+        add(rows[v + 1], ((a, a), (a + 1, b)))
+        if v == n - 2:
+            grand = _grandchildren(a, b, m)
+            add(rows[n], grand[1:] + grand[:1] if counted_first else grand)
     stats = []
     visited = 0
     for v, by_runs in enumerate(rows):
@@ -388,10 +449,11 @@ def count_stirling_stats(
 ) -> StirlingStats:
     """|Q_n^m| by formula; its flattened words, and those by run count, by the pruned walk.
 
-    The walk visits only flattened words and their children, and stops at
-    order n - 1: the order-n words are tallied by run count from their
-    parents' gaps, never built (``visited`` still counts them).  The budget
-    caps |Q_n^m|, which is also ``total``.  The walk is one serial pass.
+    The walk visits only flattened words, and stops at order n - 2: the
+    words of orders n - 1 and n are tallied by run count from the labels
+    of their parents and grandparents, never built (``visited`` still
+    counts their gaps).  The budget caps |Q_n^m|, which is also ``total``.
+    The walk is one serial pass.
     """
     _check_budget(n, m, budget)
     return _walk_stats(n, m)[n]

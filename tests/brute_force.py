@@ -1,16 +1,24 @@
-"""Brute-force oracle for ``words.count_stirling_stats``: scan every word of Q_n^m.
+"""Oracles for ``words``: scan every word of Q_n^m, and walk to the last order but one.
 
-Unlike the pruned walk, which takes |Q_n^m| from the product formula,
-this scan builds and counts every word, so it is the one real count of
-Q_n^m.  Only tests use it.
+``scan_stirling_stats`` is the brute-force oracle for
+``words.count_stirling_stats``.  Unlike the pruned walk, which takes
+|Q_n^m| from the product formula, this scan builds and counts every
+word, so it is the one real count of Q_n^m.
+
+``walk_stats_built`` is the oracle for ``words._walk_stats``: the pruned
+walk run to order n - 1, every flattened word of order n - 1 built and
+its children tallied by a scan of its gaps, without the label rule.
+Only tests use either.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 
 from flatstir.errors import DEFAULT_BUDGET
-from flatstir.words import StirlingStats, _check_budget, _iter_letters_from
+from flatstir.formulas import mstirling_count
+from flatstir.words import StirlingStats, _check_budget, _iter_letters_from, _walk_flat
 
 # Insertion order at which the scan splits into tasks.
 SPLIT_ORDER = 3
@@ -71,4 +79,49 @@ def scan_stirling_stats(
     stats = StirlingStats(n, m)
     for part in parts:
         _merge(stats, part)
+    return stats
+
+
+def _tally_children(word: tuple[int, ...], runs: int, by_runs: dict[int, int]) -> None:
+    """Add the flattened children of ``word`` to ``by_runs`` by run count.
+
+    The children are counted, not built: the right-to-left gap scan with
+    which ``_walk_flat`` pushes them, counting instead of pushing (see the
+    ``words`` module docstring).  ``word`` is flattened with ``runs`` runs.
+    """
+    if not word:
+        by_runs[1] = by_runs.get(1, 0) + 1
+        return
+    added = 0
+    next_leader = math.inf
+    right = word[-1]
+    for left in word[-2::-1]:
+        if left > right:
+            next_leader = right
+        elif right <= next_leader:
+            added += 1
+        right = left
+    # the end gap and the runs - 1 descents keep the run count
+    by_runs[runs] = by_runs.get(runs, 0) + runs
+    if added:
+        by_runs[runs + 1] = by_runs.get(runs + 1, 0) + added
+
+
+def walk_stats_built(n: int, m: int) -> list[StirlingStats]:
+    """``words._walk_stats`` the long way: walk to order n - 1, tally each word's children.
+
+    Every flattened word of every order below n is built, and its
+    flattened children are tallied into the next row by ``_tally_children``.
+    ``visited`` and ``total`` are as in ``words._walk_stats``.
+    """
+    rows: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n)]
+    if n:
+        for word, runs in _walk_flat((), 0, n - 1, m):
+            _tally_children(word, runs, rows[len(word) // m + 1])
+    stats = []
+    visited = 0
+    for v, by_runs in enumerate(rows):
+        flat = sum(by_runs.values())
+        stats.append(StirlingStats(v, m, mstirling_count(v, m), flat, by_runs, visited))
+        visited += flat * (v * m + 1)
     return stats

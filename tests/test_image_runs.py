@@ -3,16 +3,16 @@
 ``image_run_distributions`` multiplies per-block descent histograms in
 one recurrence on the block holding the smallest magnitude, the
 zero-block (magnitude 0) first, every order from one memo.  Each
-block's histogram is its size's template (``_template``) plus one
-descent on each first-letter rank below the number of its letters under
-the previous letter.  These tests pin the count to the run counts of the
+block's histogram is its size's template (``_template``): no join
+between two blocks' segments is a descent.  These tests pin the count to the run counts of the
 built image words up to order 9 and to the formula up to order 14, for
 each row read alone and for all rows of one call; pin the product of a
 shape's histograms, zero-block included, to its words; pin the template
 relabelled as the block (rank r read as ``block[r] + 1``) to the
 histogram of the block's own signed segments (``_variant_descents``);
-and pin the template-plus-rank rule to the descents of explicitly signed
-block segments after any previous letter, descending joins included.
+pin the template-plus-rank rule to the descents of explicitly signed
+block segments after any previous letter, descending joins included; and
+check that no image has a descending join, which the count relies on.
 """
 
 from collections import Counter
@@ -34,7 +34,7 @@ from flatstir.bijection import (
 from flatstir.errors import BudgetExceededError
 from flatstir.formulas import run_distributions
 from flatstir.reference import TABLE1
-from flatstir.typeb import _set_partitions, _subsets_lex
+from flatstir.typeb import _iter_typeb_stream, _set_partitions, _subsets_lex
 from flatstir.words import run_starts
 
 
@@ -159,6 +159,22 @@ def test_canonical_images_have_no_descent_at_a_join():
                 assert _convolve(ONE, prev, variants) == _convolve(ONE, 0, variants), (
                     zero_block, members)
                 prev = last
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_segment_join_of_every_image_ascends(n):
+    """Every image of order n, built segment by segment from the partition
+    stream: each segment's last letter is below the next one's first, so no
+    join is a descent, and the runs are 1 plus the segments' inner descents."""
+    images = 0
+    for zero_block, segments in _iter_typeb_stream(n - 1, _segment):
+        parts = (_segment((), zero_block), *segments)
+        for left, right in zip(parts, parts[1:]):
+            assert left[-1] < right[0], (zero_block, segments)
+        letters = sum(parts, ())
+        assert len(run_starts(letters)) == 1 + sum(len(run_starts(p)) - 1 for p in parts)
+        images += 1
+    assert images == sum(TABLE1[n][2].values())
 
 
 def test_relabelled_template_equals_the_block_own_variants():

@@ -1,16 +1,20 @@
 """Word predicates, statistics, generators, and the word text format."""
 
+import math
 import tracemalloc
+from collections import Counter
 from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
 
+from flatstir import words
 from flatstir.cli import main
 from flatstir.errors import BudgetExceededError, NotStirlingError, WordSyntaxError
 from flatstir.words import (
     StirlingWord,
-    _tally_children,
+    _grandchildren,
+    _scan_gaps,
     _walk_flat,
     _walk_stats,
     count_stirling_stats,
@@ -25,7 +29,7 @@ from flatstir.words import (
     run_starts,
 )
 
-from brute_force import SPLIT_ORDER, scan_stirling_stats
+from brute_force import SPLIT_ORDER, _tally_children, scan_stirling_stats, walk_stats_built
 
 
 def W(text: str, m: int = 2) -> StirlingWord:
@@ -97,6 +101,98 @@ def test_one_walk_gives_every_pinned_row(m):
         assert (stats.order, stats.multiplicity) == (n, m)
         fields = (stats.total, stats.flat_total, stats.flat_by_runs, stats.visited)
         assert fields == PINNED_STATS[(n, m)], n
+
+
+def _rows(stats: list) -> list[tuple]:
+    """Every field of every row, ``flat_by_runs`` in its key order (its repr)."""
+    return [(s.order, s.multiplicity, s.total, s.flat_total, list(s.flat_by_runs.items()),
+             s.visited) for s in stats]
+
+
+@pytest.mark.parametrize(
+    "n, m", sorted(PINNED_STATS) + [(n, 1) for n in range(8)] + [(10, 2)], ids=lambda v: str(v)
+)
+def test_walk_stats_equals_the_walk_that_builds_the_last_order_but_one(n, m):
+    """Every row and field of ``_walk_stats`` against ``walk_stats_built``, which
+    builds every word of order n - 1 and scans its children; (10, 2) is above
+    the budget."""
+    assert _rows(_walk_stats(n, m)) == _rows(walk_stats_built(n, m))
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_walk_stats_builds_no_word_of_order_n_minus_1(monkeypatch, m):
+    real = words._walk_flat
+    built: list[int] = []
+
+    def recording(*args):
+        for word, runs in real(*args):
+            built.append(len(word) // m)
+            yield word, runs
+
+    monkeypatch.setattr(words, "_walk_flat", recording)
+    for n in range(8):
+        built.clear()
+        _walk_stats(n, m)
+        assert max(built, default=0) == max(n - 2, 0), (n, m)
+
+
+def _end_insertions(word: tuple[int, ...]) -> int:
+    """k: the values v > 1 whose last copy has only larger letters after it.
+
+    Those are the values whose block went into the end gap: a block put
+    anywhere else has a smaller letter after it for good.
+    """
+    k, low, seen = 0, math.inf, set()
+    for x in reversed(word):
+        if x not in seen:
+            seen.add(x)
+            k += x > 1 and low > x
+        low = min(low, x)
+    return k
+
+
+@pytest.mark.parametrize("m, n_max", [(1, 7), (2, 8), (3, 7), (4, 6), (5, 6)])
+def test_label_rule_on_every_walk_node(m, n_max):
+    """The generating-tree rule of the ``words`` docstring at every node of the walk.
+
+    Each built child's scanned label (runs, ``_scan_gaps``) is the rule's
+    label for its gap kind; a word labelled (a, b) has a - 1 descent
+    children, one end-gap child and b counted ones, the leftmost counted
+    exactly when the scan says so; a + b = m(k + 1); only the end gap
+    raises k; and the grandchildren, built, are ``_grandchildren(a, b, m)``.
+    """
+    for word, runs in _walk_flat((), 0, n_max - 1, m):
+        v = len(word) // m + 1
+        block = (v,) * m
+        stop = min(v + 1, n_max)
+        below = list(islice(_walk_flat(word, runs, stop, m), 1, None))
+        children = [(w, r) for w, r in below if len(w) == v * m]
+        if not word:
+            assert children == [(block, 1)]
+            assert _scan_gaps(block)[0] == m - 1 and _end_insertions(block) == 0
+            continue
+        (b, counted_first), a, k = _scan_gaps(word), runs, _end_insertions(word)
+        assert a == len(run_starts(word))
+        assert a + b == m * (k + 1), word
+        kinds = []
+        for child, child_runs in children:
+            g = child.index(v)
+            assert child == word[:g] + block + word[g:]
+            if g == len(word):
+                kind, label = "end", (a, b + m)
+            elif word[g - 1] > word[g]:
+                kind, label = "descent", (a, b)
+            else:
+                kind, label = "counted", (a + 1, b - 1)
+            kinds.append(kind)
+            assert child_runs == len(run_starts(child))
+            assert (child_runs, _scan_gaps(child)[0]) == label, (word, g)
+            assert _end_insertions(child) == k + (kind == "end"), (word, g)
+        assert Counter(kinds) == Counter(descent=a - 1, end=1, counted=b), word
+        assert counted_first == (kinds[0] == "counted"), word
+        if stop > v:
+            built = Counter(r for w, r in below if len(w) == stop * m)
+            assert built == {r: c for r, c in _grandchildren(a, b, m) if c}, word
 
 
 class TestIsStirling:
