@@ -42,12 +42,14 @@ is a descent: every variant of a block B ends on min(B) + 1, and every
 later block's first letter is at least its own minimum + 1, which is
 larger, since the blocks come in order of their minima.  So an image's
 runs are 1 plus the inner descents of its blocks' variants, and the
-count stays independent of ``run_count_from_partition``.
+count stays independent of ``run_count_from_partition``.  As a block's
+histogram depends on its size alone, the count convolves over block
+sizes (the block holding the smallest magnitude has j of the s left,
+in C(s-1, j-1) ways), not over sets of magnitudes.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_BUDGET, DomainError, NotFlattenedError, check_budget
@@ -110,61 +112,79 @@ def _variant_descents(block: tuple[int, ...]) -> tuple[dict[tuple[int, int], int
     return hist, letters[-1]
 
 
-def _template(size: int, zero: bool) -> dict[tuple[int, int], int]:
-    """Histogram {(rank of the first letter, inner descents): variants} of every block of ``size``.
+def _template(size: int, zero: bool) -> dict[int, int]:
+    """Histogram {inner descents: variants} of every block of ``size``.
 
     Read from the template block 1..size, or 0..size-1 if ``zero`` (a
-    zero-block, one variant); rank r is the block's (r+1)-th smallest
-    magnitude.
+    zero-block, one variant).
     """
     low = 0 if zero else 1
-    hist, _ = _variant_descents(tuple(range(low, low + size)))
-    return {(first - 1 - low, inner): count for (first, inner), count in hist.items()}
+    hist: dict[int, int] = {}
+    for (_, inner), count in _variant_descents(tuple(range(low, low + size)))[0].items():
+        hist[inner] = hist.get(inner, 0) + count
+    return hist
 
 
 def image_run_distributions(n_max: int) -> dict[int, dict[int, int]]:
     """{n: {runs: words}} over the images of the canonical partitions of [-(n-1), n-1], n <= n_max.
 
-    No image is built (module docstring).  A set of magnitudes is a
-    bitmask, bit v for magnitude v.  The blocks of ``rest`` are one block
-    B holding its lowest bit and then those of rest - B, so
+    No image is built (module docstring).  The blocks of a set of
+    magnitudes R are one block B holding min(R) and then the blocks of
+    R - B, so their descent histogram is
 
-        blocks(rest) = sum over B of packed(B) * blocks(rest - B)
+        blocks(R) = sum over B of packed(|B|) * blocks(R - B)
 
-    with blocks(0) = 1; no join is a descent, so ``packed`` is the
-    template histogram of B's size.  Order n is blocks((1 << n) - 1) plus
-    one base run; the states without bit 0 (the zero-block's) do not
-    depend on n, so one memo serves every row.  A histogram {d: c} is
-    the integer sum of c * X**d with X = 2**shift, so products convolve
-    and sums add; no count reaches X, as each is at most (2n-1)!!.
-    ``n_max`` 0 gives ``{}``.
+    with blocks({}) = 1, where ``packed`` is the template histogram of
+    B's size (no join is a descent).  blocks(R) depends only on |R| and
+    on whether 0 is in R.  Without 0, by induction on |R|: each R - B
+    lacks 0 and is smaller, so every term depends only on |B| and |R|,
+    and the C(s-1, j-1) sets B of size j that hold min(R) add the same
+    term.  So with members[s] = blocks(R) for any s magnitudes R without 0,
+
+        members[0] = 1,
+        members[s] = sum over j = 1..s of C(s-1, j-1) * packed(j) * members[s-j],
+
+    and order n, whose zero-block holds 0 and i of the magnitudes 1..n-1
+    (zero(i+1) the zero-block template's histogram), is one base run plus
+
+        sum over i = 0..n-1 of C(n-1, i) * zero(i+1) * members[n-1-i].
+
+    This is the exponential formula over block sizes (Flajolet &
+    Sedgewick II.2), but each packed(j) is still read off the letters of
+    every sign variant, so the count stays independent of
+    ``run_count_from_partition`` and ``run_distributions``.  Each
+    binomial is the one before times a ratio.  A histogram {d: c} is the
+    integer sum of c * X**d with X = 2**shift, so products convolve and
+    sums add.  Every digit of every product and partial sum counts, by
+    descents, some of the images of one order n <= n_max (members[s]
+    those of order s + 1 whose zero-block is {0}), so it is at most
+    (2n_max - 1)!!, below X: no digit carries.  ``n_max`` 0 gives ``{}``.
     """
     if n_max < 0:
         raise ValueError("n must be nonnegative")
     shift = 2 * n_max * n_max.bit_length()
 
-    @cache
     def packed(size: int, zero: bool) -> int:
-        return sum(count << shift * inner for (_, inner), count in _template(size, zero).items())
+        return sum(count << shift * inner for inner, count in _template(size, zero).items())
 
-    @cache
-    def blocks(rest: int) -> int:
-        if not rest:
-            return 1
-        low = rest & -rest
-        others = rest ^ low
-        total = 0
-        sub = others
-        while True:
-            total += packed((low | sub).bit_count(), low == 1) * blocks(others ^ sub)
-            if not sub:
-                return total
-            sub = (sub - 1) & others
+    member_hist = [packed(size, False) for size in range(1, n_max)]
+    zero_hist = [packed(size, True) for size in range(1, n_max + 1)]
+    members = [1]
+    for s in range(1, n_max):
+        total, ways = 0, 1
+        for j in range(1, s + 1):
+            total += ways * member_hist[j - 1] * members[s - j]
+            ways = ways * (s - j) // j
+        members.append(total)
 
     digit = (1 << shift) - 1
     rows = {}
     for n in range(1, n_max + 1):
-        total = blocks((1 << n) - 1) << shift
+        total, ways = 0, 1
+        for i in range(n):
+            total += ways * zero_hist[i] * members[n - 1 - i]
+            ways = ways * (n - 1 - i) // (i + 1)
+        total <<= shift
         counts = (total >> shift * runs & digit for runs in range(total.bit_length() // shift + 1))
         rows[n] = {runs: count for runs, count in enumerate(counts) if count}
     return rows

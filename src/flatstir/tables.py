@@ -113,8 +113,9 @@ def flat_k_table(n_max: int, mode: str = "bijection", budget: int = DEFAULT_BUDG
     caps |Q_n| at n = 9, and orders 1-9 take about 12 ms on 2 CPUs, as
     the walk stops at order 7), ``bijection`` from one block-by-block
     count of the partition images
-    (``image_run_distributions``; the default budget caps them at n = 11,
-    and orders 1-11 take 22-40 ms on 2 CPUs, 1-12 72-128 ms), and
+    (``image_run_distributions``, a convolution over block sizes; the
+    default budget caps them at n = 11, and orders 1-11 take about 4 ms
+    on 2 CPUs, 1-12 about 8 ms), and
     ``formula`` from one ``run_distributions(n_max)`` call (order 200 in
     about 0.55 s on 2 CPUs; its sums are unchanged, each binomial taken
     from the one before it).  The |Q_n| column is the product formula as

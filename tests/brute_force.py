@@ -1,4 +1,4 @@
-"""Oracles for ``words``: scan every word of Q_n^m, and walk to the last order but one.
+"""Oracles: scan every word of Q_n^m, walk to the last order but one, count images by subsets.
 
 ``scan_stirling_stats`` is the brute-force oracle for
 ``words.count_stirling_stats``.  Unlike the pruned walk, which takes
@@ -8,14 +8,21 @@ word, so it is the one real count of Q_n^m.
 ``walk_stats_built`` is the oracle for ``words._walk_stats``: the pruned
 walk run to order n - 1, every flattened word of order n - 1 built and
 its children tallied by a scan of its gaps, without the label rule.
-Only tests use either.
+``image_runs_by_subsets`` is the oracle for
+``bijection.image_run_distributions``: the same block recurrence summed
+over every set of magnitudes, one memo keyed by the remaining
+magnitudes as a bitmask, instead of over block sizes.
+
+Only tests use these.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 
+from flatstir.bijection import _template
 from flatstir.errors import DEFAULT_BUDGET
 from flatstir.formulas import mstirling_count
 from flatstir.words import StirlingStats, _check_budget, _iter_letters_from, _walk_flat
@@ -125,3 +132,48 @@ def walk_stats_built(n: int, m: int) -> list[StirlingStats]:
         stats.append(StirlingStats(v, m, mstirling_count(v, m), flat, by_runs, visited))
         visited += flat * (v * m + 1)
     return stats
+
+
+def image_runs_by_subsets(n_max: int) -> dict[int, dict[int, int]]:
+    """``bijection.image_run_distributions`` summed over sets of magnitudes, not sizes.
+
+    A set of magnitudes is a bitmask, bit v for magnitude v.  The blocks
+    of ``rest`` are one block B holding its lowest bit and then those of
+    rest - B, so
+
+        blocks(rest) = sum over B of packed(B) * blocks(rest - B)
+
+    with blocks(0) = 1, and ``packed`` is the template histogram of B's
+    size.  Order n is blocks((1 << n) - 1) plus one base run; the states
+    without bit 0 do not depend on n, so one memo serves every row.
+    Histograms are packed into integers as in the library.
+    """
+    if n_max < 0:
+        raise ValueError("n must be nonnegative")
+    shift = 2 * n_max * n_max.bit_length()
+
+    @cache
+    def packed(size: int, zero: bool) -> int:
+        return sum(count << shift * inner for inner, count in _template(size, zero).items())
+
+    @cache
+    def blocks(rest: int) -> int:
+        if not rest:
+            return 1
+        low = rest & -rest
+        others = rest ^ low
+        total = 0
+        sub = others
+        while True:
+            total += packed((low | sub).bit_count(), low == 1) * blocks(others ^ sub)
+            if not sub:
+                return total
+            sub = (sub - 1) & others
+
+    digit = (1 << shift) - 1
+    rows = {}
+    for n in range(1, n_max + 1):
+        total = blocks((1 << n) - 1) << shift
+        counts = (total >> shift * runs & digit for runs in range(total.bit_length() // shift + 1))
+        rows[n] = {runs: count for runs, count in enumerate(counts) if count}
+    return rows

@@ -2,23 +2,28 @@
 
 ``image_run_distributions`` multiplies per-block descent histograms in
 one recurrence on the block holding the smallest magnitude, the
-zero-block (magnitude 0) first, every order from one memo.  Each
-block's histogram is its size's template (``_template``): no join
-between two blocks' segments is a descent.  These tests pin the count to the run counts of the
-built image words up to order 9 and to the formula up to order 14, for
-each row read alone and for all rows of one call; pin the product of a
-shape's histograms, zero-block included, to its words; pin the template
-relabelled as the block (rank r read as ``block[r] + 1``) to the
-histogram of the block's own signed segments (``_variant_descents``);
-pin the template-plus-rank rule to the descents of explicitly signed
-block segments after any previous letter, descending joins included; and
-check that no image has a descending join, which the count relies on.
+zero-block (magnitude 0) first, convolved over block sizes: each
+block's histogram is its size's template (``_template``), as no join
+between two blocks' segments is a descent.  These tests pin the count
+to the same recurrence summed over every set of magnitudes
+(``brute_force.image_runs_by_subsets``) up to order 12, to the run
+counts of the built image words up to order 9 and to the formula up to
+order 16, for each row read alone and for all rows of one call; pin
+the product of a shape's histograms, zero-block included, to its words;
+pin the template block's variants relabelled as the block (rank r read
+as ``block[r] + 1``) to the histogram of the block's own signed
+segments (``_variant_descents``); pin the template-plus-rank rule to the
+descents of explicitly signed block segments after any previous letter,
+descending joins included; and check that no image has a descending
+join, which the count relies on.
 """
 
 from collections import Counter
+from functools import cache
 from itertools import combinations, islice
 
 import pytest
+from brute_force import image_runs_by_subsets
 
 from flatstir import tables
 from flatstir.bijection import (
@@ -49,6 +54,20 @@ def _shapes(n: int):
         rest = tuple(v for v in universe if v not in support)
         for members in _set_partitions(rest):
             yield (0,) + support, members
+
+
+@cache
+def _ranked(size: int, low: int) -> dict[tuple[int, int], int]:
+    """Histogram {(rank of the first letter, inner descents): variants} of the
+    template block low..low+size-1; rank r is the block's (r+1)-th smallest
+    magnitude.  Summed over the ranks it is ``_template``."""
+    hist, _ = _variant_descents(tuple(range(low, low + size)))
+    ranked = {(first - 1 - low, inner): count for (first, inner), count in hist.items()}
+    folded: Counter = Counter()
+    for (_, inner), count in ranked.items():
+        folded[inner] += count
+    assert folded == _template(size, not low), (size, low)
+    return ranked
 
 
 def _convolve(dist: Counter, prev: int, variants: dict[tuple[int, int], int]) -> Counter:
@@ -85,8 +104,22 @@ def test_one_call_gives_every_row(bijection_runs):
         assert bijection_runs[n] == _built_runs(iter_flattened_letters(n)), n
 
 
-def test_one_call_gives_the_formula_up_to_order_14():
-    assert image_run_distributions(14) == run_distributions(14)
+def test_one_call_gives_the_formula_up_to_order_16():
+    assert image_run_distributions(16) == run_distributions(16)
+
+
+def _ordered(rows):
+    return [(n, list(row.items())) for n, row in rows.items()]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_count_equals_the_sum_over_sets_of_magnitudes(n):
+    """Each order alone, counted at its own histogram width, key order included."""
+    assert _ordered(image_run_distributions(n)) == _ordered(image_runs_by_subsets(n))
+
+
+def test_one_call_equals_the_sum_over_sets_of_magnitudes():
+    assert _ordered(image_run_distributions(12)) == _ordered(image_runs_by_subsets(12))
 
 
 def test_orders_are_checked():
@@ -125,10 +158,12 @@ def test_each_shape_is_the_product_of_its_block_histograms(n):
 def test_block_histogram_reads_the_letters_after_any_previous_letter(size):
     """Every block of magnitudes 1..8 after every previous letter 0..13,
     including ones above the block's letters: a join that is a descent must
-    count, though canonical images have none.  The count's rule is the
-    template of the block's size with one more descent on each rank below
-    the number of the block's letters under the previous letter."""
-    template = _template(size, False)
+    count, though canonical images have none.  The rule is the histogram
+    of the size's template block by the rank of the first letter
+    (``_ranked``) with one more descent on each rank below the number of
+    the block's letters under the previous letter; with none under it,
+    that is the count's ``_template``."""
+    template = _ranked(size, 1)
     for block in combinations(range(1, 9), size):
         low, rest = block[0], block[1:]
         variants = [
@@ -179,14 +214,15 @@ def test_every_segment_join_of_every_image_ascends(n):
 
 def test_relabelled_template_equals_the_block_own_variants():
     """The order-type lemma of the bijection docstring, on every block of
-    magnitudes 1..11 and every zero-block of magnitudes 0..11: the template
-    of the block's size, with rank r read as the letter ``block[r] + 1``, is
-    the histogram of the block's own segments, all ending on its minimum
-    plus one."""
+    magnitudes 1..11 and every zero-block of magnitudes 0..11: the
+    histogram of the size's template block by the rank of the first letter
+    (``_ranked``), with rank r read as the letter ``block[r] + 1``, is the
+    histogram of the block's own segments, all ending on its minimum plus
+    one."""
     for size in range(12):
         for rest in combinations(range(1, 12), size):
             for block in ((0,) + rest, rest) if rest else [(0,)]:
-                template = _template(len(block), not block[0])
+                template = _ranked(len(block), 1 if block[0] else 0)
                 relabelled = {(block[rank] + 1, inner): count
                               for (rank, inner), count in template.items()}
                 assert (relabelled, block[0] + 1) == _variant_descents(block), block
